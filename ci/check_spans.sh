@@ -13,6 +13,9 @@
 #   3. The token_trace exit code is itself a gate: it exits nonzero unless
 #      every token's critical-path segments sum exactly to its observed
 #      latency, so this script fails on any estimation drift too.
+#   4. Scale leg: the same exactness gate over 1000 frames, and a 100-frame
+#      attributed sweep serial vs --jobs 2, so extraction stays under test at
+#      a horizon where a quadratic regression would show.
 #
 # Registered as the `check_spans` ctest (see the top-level CMakeLists.txt),
 # so it also runs inside the ASan/TSan trees built by `ci/sanitize.sh`.
@@ -90,4 +93,17 @@ for jobs in 1 2 8; do
                     "$tmpdir/sweep_j$jobs.json" "--jobs $jobs"
 done
 
-echo "check_spans: OK (span dumps byte-identical run-to-run and at --jobs 1/2/8)"
+# 4. Scale leg: exactness over a long horizon, and a long attributed sweep
+#    byte-identical serial vs parallel.
+"$token_trace" --frames 1000 --quiet
+"$sweep" --frames 100 --spans --dump "$tmpdir/sweep100_serial.json"
+"$sweep" --frames 100 --jobs 2 --spans --dump "$tmpdir/sweep100_j2.json"
+if grep -q '"exact":false' "$tmpdir/sweep100_serial.json"; then
+  echo "check_spans: a 100-frame candidate attribution is inexact" >&2
+  exit 1
+fi
+require_identical "mapping_sweep --frames 100 --spans" "$tmpdir/sweep100_serial.json" \
+                  "$tmpdir/sweep100_j2.json" "--jobs 2"
+
+echo "check_spans: OK (span dumps byte-identical run-to-run and at --jobs 1/2/8;" \
+     "exact at 1000 frames)"

@@ -173,9 +173,11 @@ std::uint64_t actor_key(std::uint32_t pe, std::uint32_t name) {
     return (static_cast<std::uint64_t>(pe) << 32) | name;
 }
 
+bool is_task_state(SpanKind k) { return k <= SpanKind::TaskIdle; }  // the first five
+
 struct StateSpan {
     std::uint64_t begin;
-    std::uint64_t end;  ///< clipped: open spans read as "until forever"
+    std::uint64_t end;  ///< kOpenEnd (the largest value) while open: "until forever"
     SpanKind kind;
 };
 
@@ -185,43 +187,58 @@ struct Hop {
     bool is_send;
 };
 
-/// Pre-indexed view of one recorder, built once per extraction.
+/// Pre-indexed view of one recorder: every token's hops and every actor's
+/// state timeline or, given `only` (a Latency record), just that record's
+/// token hops and the timelines of the actors those hops and its sink name —
+/// everything extract_one() looks up for that one record.
 struct SpanIndex {
     const SpanRecorder& rec;
-    // Task-state timeline per (pe, task), in begin order (emission order is
-    // begin order per task: the tracer closes one state before opening the
-    // next).
+    // Task-state timeline per (pe, task): in begin order, non-overlapping,
+    // open only at the end (asserted while building), so a window finds its
+    // first overlapping span by binary search.
     std::map<std::uint64_t, std::vector<StateSpan>> states;
     // Send/Recv spans per token (id, born), in end order.
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Hop>> hops;
 
-    explicit SpanIndex(const SpanRecorder& r) : rec(r) {
+    explicit SpanIndex(const SpanRecorder& r, const SpanRecorder::SpanRec* only = nullptr)
+        : rec(r) {
+        if (only != nullptr) {
+            states[actor_key(only->pe, only->name)];
+        }
         for (std::size_t i = 0; i < r.size(); ++i) {
             const SpanRecorder::SpanRec& s = r.rec(i);
             const auto kind = static_cast<SpanKind>(s.kind);
-            switch (kind) {
-                case SpanKind::TaskRun:
-                case SpanKind::TaskReady:
-                case SpanKind::TaskPreempt:
-                case SpanKind::TaskBlock:
-                case SpanKind::TaskIdle:
-                    states[actor_key(s.pe, s.name)].push_back(StateSpan{
-                        s.t_begin_ns,
-                        s.t_end_ns == SpanRecorder::kOpenEnd ? ~std::uint64_t{0}
-                                                             : s.t_end_ns,
-                        kind});
-                    break;
-                case SpanKind::Send:
-                case SpanKind::Recv:
-                    if (s.token_id != kNoTokenId &&
-                        s.t_end_ns != SpanRecorder::kOpenEnd) {
-                        hops[{s.token_id, s.token_born_ns}].push_back(
-                            Hop{s.t_end_ns, i, kind == SpanKind::Send});
-                    }
-                    break;
-                default:
-                    break;
+            if ((kind != SpanKind::Send && kind != SpanKind::Recv) ||
+                s.token_id == kNoTokenId || s.t_end_ns == SpanRecorder::kOpenEnd ||
+                (only != nullptr && (s.token_id != only->token_id ||
+                                     s.token_born_ns != only->token_born_ns))) {
+                continue;
             }
+            hops[{s.token_id, s.token_born_ns}].push_back(
+                Hop{s.t_end_ns, i, kind == SpanKind::Send});
+            if (only != nullptr) {
+                states[actor_key(s.pe, s.aux)];  // the sender or receiver task
+            }
+        }
+        for (std::size_t i = 0; i < r.size(); ++i) {
+            const SpanRecorder::SpanRec& s = r.rec(i);
+            const auto kind = static_cast<SpanKind>(s.kind);
+            if (!is_task_state(kind)) {
+                continue;
+            }
+            const std::uint64_t key = actor_key(s.pe, s.name);
+            const auto it =
+                only != nullptr ? states.find(key) : states.try_emplace(key).first;
+            if (it == states.end()) {
+                continue;
+            }
+            std::vector<StateSpan>& line = it->second;
+            // An open span reads as ending at kOpenEnd, so this also rejects
+            // any state that follows one.
+            SLM_ASSERT(line.empty() || line.back().end <= s.t_begin_ns,
+                       "task-state spans must be in begin order, non-overlapping, and "
+                       "open only at the end of the timeline");
+            line.push_back(StateSpan{s.t_begin_ns, s.t_end_ns, kind});
         }
         for (auto& [token, v] : hops) {
             // Causal order: by end time; at a tie, the Send of a matched pair
@@ -256,125 +273,73 @@ void add_segment(CriticalPath& out, std::uint64_t b, std::uint64_t e, PathCatego
     out.segments.push_back(PathSegment{b, e, cat, who});
 }
 
-/// Partition [w0, w1) held by task (pe, task) along its state timeline.
-/// Running time inside [bus_b, bus_e) — the enclosing Send span — is Bus
-/// (occupancy + arbitration keep the sender Running: arch::Bus::occupy waits
-/// on the raw kernel, invisible to the OS); Running outside is Compute.
-/// An actor with no state timeline at all is the environment (a stimulus
-/// process posts straight from a kernel process, no RTOS task behind it).
-void partition_task_window(const SpanIndex& ix, std::uint64_t w0, std::uint64_t w1,
-                           std::uint32_t pe, std::uint32_t task, std::uint64_t bus_b,
-                           std::uint64_t bus_e, CriticalPath& out) {
-    if (w1 <= w0) {
-        return;
-    }
-    const std::string& who = ix.rec.str(task);
-    const auto it = ix.states.find(actor_key(pe, task));
-    if (it == ix.states.end() || it->second.empty()) {
-        add_segment(out, w0, w1, PathCategory::Env, who);
-        return;
-    }
-    std::uint64_t cur = w0;
-    for (const StateSpan& s : it->second) {
-        if (s.end <= cur) {
-            continue;
-        }
-        if (s.begin >= w1) {
-            break;
-        }
-        const std::uint64_t b = std::max(cur, s.begin);
-        const std::uint64_t e = std::min(w1, s.end);
-        if (b > cur) {
-            add_segment(out, cur, b, PathCategory::Other, who);  // timeline gap
-        }
-        switch (s.kind) {
-            case SpanKind::TaskRun: {
-                // Split the Running overlap at the send-window boundary.
-                const std::uint64_t bb = std::max(b, bus_b);
-                const std::uint64_t be = std::min(e, bus_e);
-                if (be > bb) {
-                    add_segment(out, b, bb, PathCategory::Compute, who);
-                    add_segment(out, bb, be, PathCategory::Bus, who);
-                    add_segment(out, be, e, PathCategory::Compute, who);
-                } else {
-                    add_segment(out, b, e, PathCategory::Compute, who);
-                }
-                break;
-            }
-            case SpanKind::TaskReady:
-                add_segment(out, b, e, PathCategory::Ready, who);
-                break;
-            case SpanKind::TaskPreempt:
-                add_segment(out, b, e, PathCategory::Preempt, who);
-                break;
-            case SpanKind::TaskBlock:
-                add_segment(out, b, e, PathCategory::Block, who);
-                break;
-            default:
-                add_segment(out, b, e, PathCategory::Other, who);
-                break;
-        }
-        cur = e;
-        if (cur >= w1) {
-            break;
-        }
-    }
-    if (cur < w1) {
-        add_segment(out, cur, w1, PathCategory::Other, who);
-    }
-}
+/// How a window walk labels time: per task state (indexed by SpanKind
+/// TaskRun..TaskIdle), in gaps of the timeline, and when the actor has no
+/// timeline at all.
+struct WindowCategories {
+    std::array<PathCategory, 5> state;
+    PathCategory gap;
+    PathCategory no_timeline;
+};
 
-/// Partition [w0, w1) while the token is in flight on `channel` toward the
-/// receiver (pe, task): the receiver running other work is DstBusy, runnable-
-/// but-unscheduled is Ready/Preempt, anything else (blocked waiting for
-/// exactly this delivery, idle, no timeline) is Deliver.
-void partition_channel_window(const SpanIndex& ix, std::uint64_t w0, std::uint64_t w1,
-                              std::uint32_t channel, std::uint32_t pe,
-                              std::uint32_t task, CriticalPath& out) {
+/// The token is held by a task: its own states. Idle time and timeline gaps
+/// are Other; an actor with no state timeline at all is the environment (a
+/// stimulus process posts straight from a kernel process, no RTOS task).
+constexpr WindowCategories kHeld{{PathCategory::Compute, PathCategory::Ready,
+                                  PathCategory::Preempt, PathCategory::Block,
+                                  PathCategory::Other},
+                                 PathCategory::Other,
+                                 PathCategory::Env};
+
+/// The token is in flight toward a receiver: the receiver running other work
+/// is DstBusy, runnable-but-unscheduled is Ready/Preempt, anything else
+/// (blocked waiting for exactly this delivery, idle, no timeline) is Deliver.
+constexpr WindowCategories kInFlight{{PathCategory::DstBusy, PathCategory::Ready,
+                                      PathCategory::Preempt, PathCategory::Deliver,
+                                      PathCategory::Deliver},
+                                     PathCategory::Deliver,
+                                     PathCategory::Deliver};
+
+/// Partition [w0, w1) along the state timeline of task (pe, task), labelling
+/// segments `who` with `cats`. Running time inside [bus_b, bus_e) — the
+/// holder's enclosing Send span — is Bus (occupancy + arbitration keep the
+/// sender Running: arch::Bus::occupy waits on the raw kernel, invisible to
+/// the OS). The walk starts at the first span ending after w0, found by
+/// binary search, so a window costs O(log S + spans it overlaps).
+void partition_window(const SpanIndex& ix, std::uint64_t w0, std::uint64_t w1,
+                      std::uint32_t pe, std::uint32_t task, const std::string& who,
+                      const WindowCategories& cats, CriticalPath& out,
+                      std::uint64_t bus_b = 0, std::uint64_t bus_e = 0) {
     if (w1 <= w0) {
         return;
     }
-    const std::string& who = ix.rec.str(channel);
     const auto it = ix.states.find(actor_key(pe, task));
     if (it == ix.states.end() || it->second.empty()) {
-        add_segment(out, w0, w1, PathCategory::Deliver, who);
+        add_segment(out, w0, w1, cats.no_timeline, who);
         return;
     }
+    const std::vector<StateSpan>& line = it->second;
     std::uint64_t cur = w0;
-    for (const StateSpan& s : it->second) {
-        if (s.end <= cur) {
-            continue;
-        }
-        if (s.begin >= w1) {
-            break;
-        }
-        const std::uint64_t b = std::max(cur, s.begin);
-        const std::uint64_t e = std::min(w1, s.end);
-        if (b > cur) {
-            add_segment(out, cur, b, PathCategory::Deliver, who);
-        }
-        switch (s.kind) {
-            case SpanKind::TaskRun:
-                add_segment(out, b, e, PathCategory::DstBusy, who);
-                break;
-            case SpanKind::TaskReady:
-                add_segment(out, b, e, PathCategory::Ready, who);
-                break;
-            case SpanKind::TaskPreempt:
-                add_segment(out, b, e, PathCategory::Preempt, who);
-                break;
-            default:
-                add_segment(out, b, e, PathCategory::Deliver, who);
-                break;
+    for (auto s = std::partition_point(line.begin(), line.end(),
+                                       [&](const StateSpan& x) { return x.end <= cur; });
+         s != line.end() && s->begin < w1 && cur < w1; ++s) {
+        const std::uint64_t b = std::max(cur, s->begin);
+        const std::uint64_t e = std::min(w1, s->end);
+        add_segment(out, cur, b, cats.gap, who);
+        const PathCategory cat = cats.state[static_cast<std::size_t>(s->kind)];
+        // Split the Running overlap at the send-window boundary.
+        const std::uint64_t bb = std::max(b, bus_b);
+        const std::uint64_t be = std::min(e, bus_e);
+        if (s->kind == SpanKind::TaskRun && be > bb) {
+            add_segment(out, b, bb, cat, who);
+            add_segment(out, bb, be, PathCategory::Bus, who);
+            add_segment(out, be, e, cat, who);
+        } else {
+            add_segment(out, b, e, cat, who);
         }
         cur = e;
-        if (cur >= w1) {
-            break;
-        }
     }
-    if (cur < w1) {
-        add_segment(out, cur, w1, PathCategory::Deliver, who);
-    }
+    add_segment(out, cur, w1, cats.gap, who);
 }
 
 CriticalPath extract_one(const SpanIndex& ix, const SpanRecorder::SpanRec& lat) {
@@ -410,11 +375,12 @@ CriticalPath extract_one(const SpanIndex& ix, const SpanRecorder::SpanRec& lat) 
                 if (static_cast<SpanKind>(s.kind) == SpanKind::Send) {
                     // [cur, send.end): the sender holds the token. Running
                     // time inside the send span itself is bus occupancy.
-                    partition_task_window(ix, cur, h.end, s.pe, s.aux, s.t_begin_ns,
-                                          s.t_end_ns, cp);
+                    partition_window(ix, cur, h.end, s.pe, s.aux, ix.rec.str(s.aux),
+                                     kHeld, cp, s.t_begin_ns, s.t_end_ns);
                 } else {
                     // [cur, recv.end): in flight toward the receiving task.
-                    partition_channel_window(ix, cur, h.end, s.name, s.pe, s.aux, cp);
+                    partition_window(ix, cur, h.end, s.pe, s.aux, ix.rec.str(s.name),
+                                     kInFlight, cp);
                 }
                 cur = h.end;
                 ++cp.hops;
@@ -422,7 +388,8 @@ CriticalPath extract_one(const SpanIndex& ix, const SpanRecorder::SpanRec& lat) 
         }
     }
     // Tail window: held by the task that reported the sample.
-    partition_task_window(ix, cur, cp.recorded_ns, lat.pe, lat.name, 0, 0, cp);
+    partition_window(ix, cur, cp.recorded_ns, lat.pe, lat.name, ix.rec.str(lat.name),
+                     kHeld, cp);
     return cp;
 }
 
@@ -459,13 +426,20 @@ std::vector<CriticalPath> extract_critical_paths(const SpanRecorder& rec) {
 }
 
 CriticalPath worst_critical_path(const SpanRecorder& rec) {
-    CriticalPath worst;
-    for (CriticalPath& cp : extract_critical_paths(rec)) {
-        if (!worst.valid || cp.total_ns > worst.total_ns) {
-            worst = std::move(cp);
+    // Pick the sample first — largest value, the first in recording order on
+    // a tie — then index and walk only its path.
+    const SpanRecorder::SpanRec* worst = nullptr;
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        const SpanRecorder::SpanRec& s = rec.rec(i);
+        if (static_cast<SpanKind>(s.kind) == SpanKind::Latency &&
+            (worst == nullptr || s.value > worst->value)) {
+            worst = &s;
         }
     }
-    return worst;
+    if (worst == nullptr) {
+        return {};
+    }
+    return extract_one(SpanIndex(rec, worst), *worst);
 }
 
 // ---- exporters ----
@@ -607,7 +581,7 @@ void write_perfetto_json(std::ostream& os, const SpanRecorder& rec) {
             case SpanKind::TaskBlock:
             case SpanKind::TaskIdle: {
                 if (open) {
-                    break;  // clipped: unfinished states are dropped
+                    break;  // unfinished states are dropped, not clipped
                 }
                 static constexpr const char* kStateNames[] = {"run", "ready", "preempt",
                                                               "block", "idle"};

@@ -222,11 +222,16 @@ struct CriticalPath {
     [[nodiscard]] PathCategory bottleneck() const;
 };
 
-/// One CriticalPath per Latency record, in recording order.
+/// One CriticalPath per Latency record, in recording order. Costs O(N) to
+/// index the N records, then a binary search per custody window into the
+/// state timeline it walks: O(N + L·log S) for L samples and S-span
+/// timelines.
 [[nodiscard]] std::vector<CriticalPath> extract_critical_paths(const SpanRecorder& rec);
 
-/// The path of the worst (largest-sample) latency record; invalid when the
-/// recorder holds no Latency records.
+/// The path of the worst (largest-sample) latency record — the first in
+/// recording order on a tie, i.e. the first maximum of
+/// extract_critical_paths() — or invalid when the recorder holds no Latency
+/// records. Only that one path is indexed and extracted.
 [[nodiscard]] CriticalPath worst_critical_path(const SpanRecorder& rec);
 
 // ---- exporters ----
@@ -240,7 +245,8 @@ void write_span_json(std::ostream& os, const SpanRecorder& rec);
 /// Chrome trace-event / Perfetto JSON: one process per PE (plus one per bus),
 /// two rows per task (state timeline + job/recv/send windows), flow arrows
 /// following each token's cross-channel hops, instants for ISRs and latency
-/// records. Open spans are clipped at the last recorded timestamp.
+/// records. Spans still open at export time (state, job/recv/send and bus
+/// spans whose end_ns the dump shows as null) are dropped, not clipped.
 void write_perfetto_json(std::ostream& os, const SpanRecorder& rec);
 
 /// Snapshot the recorder into `slm_span_*` gauge families (record/string/

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/assert.hpp"
 #include "sim/time.hpp"
 #include "sys/sweep.hpp"
 #include "vocoder/system.hpp"
@@ -46,6 +47,111 @@ bool is_task_state(obs::SpanKind k) {
         default:
             return false;
     }
+}
+
+/// Reference for worst_critical_path(): the first maximum of
+/// extract_critical_paths() in recording order.
+obs::CriticalPath first_maximum(const std::vector<obs::CriticalPath>& paths) {
+    obs::CriticalPath best;
+    for (const obs::CriticalPath& cp : paths) {
+        if (!best.valid || cp.total_ns > best.total_ns) {
+            best = cp;
+        }
+    }
+    return best;
+}
+
+void expect_same_segments(const std::vector<obs::PathSegment>& a,
+                          const std::vector<obs::PathSegment>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("segment " + std::to_string(i));
+        EXPECT_EQ(a[i].begin_ns, b[i].begin_ns);
+        EXPECT_EQ(a[i].end_ns, b[i].end_ns);
+        EXPECT_EQ(a[i].category, b[i].category);
+        EXPECT_EQ(a[i].who, b[i].who);
+    }
+}
+
+void expect_same_path(const obs::CriticalPath& a, const obs::CriticalPath& b) {
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.token_id, b.token_id);
+    EXPECT_EQ(a.born_ns, b.born_ns);
+    EXPECT_EQ(a.anchor_ns, b.anchor_ns);
+    EXPECT_EQ(a.recorded_ns, b.recorded_ns);
+    EXPECT_EQ(a.total_ns, b.total_ns);
+    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_EQ(a.sink, b.sink);
+    EXPECT_EQ(a.by_category, b.by_category);
+    expect_same_segments(a.segments, b.segments);
+}
+
+/// worst_critical_path() extracts only the worst sample from an index
+/// filtered to it; it must equal the first maximum of the full extraction.
+void expect_worst_is_first_maximum(const obs::SpanRecorder& rec) {
+    expect_same_path(obs::worst_critical_path(rec),
+                     first_maximum(obs::extract_critical_paths(rec)));
+}
+
+SimTime ns(std::uint64_t v) { return nanoseconds(v); }
+
+void state(obs::SpanRecorder& rec, std::uint64_t b, std::uint64_t e, obs::SpanKind kind,
+           std::string_view pe, std::string_view task) {
+    (void)rec.complete(ns(b), ns(e), kind, pe, task);
+}
+
+void latency(obs::SpanRecorder& rec, std::uint64_t at, std::uint64_t sample,
+             std::string_view pe, std::string_view sink, obs::TokenRef token) {
+    (void)rec.instant(ns(at), obs::SpanKind::Latency, pe, sink, {}, token, 0, sample);
+}
+
+constexpr obs::TokenRef kTok7{7, 1000};
+constexpr obs::TokenRef kTok8{8, 1000};
+
+/// A two-hop custody chain, token 7 born at 1000 ns: "enc" on PE0 holds it
+/// until its send on bits_q ends at 2600, the token is in flight toward
+/// "dec" on PE1 until dec's recv ends at 3500, and dec holds it after that.
+/// dec's last state span (Run from 4800) is still open. No latency records.
+void build_custody_chain(obs::SpanRecorder& rec) {
+    using K = obs::SpanKind;
+    state(rec, 0, 1500, K::TaskRun, "PE0", "enc");
+    state(rec, 1500, 1800, K::TaskPreempt, "PE0", "enc");
+    state(rec, 1800, 2600, K::TaskRun, "PE0", "enc");
+    state(rec, 2600, 9000, K::TaskBlock, "PE0", "enc");
+    (void)rec.complete(ns(2200), ns(2600), K::Send, "PE0", "bits_q", "enc", kTok7);
+    state(rec, 0, 2800, K::TaskBlock, "PE1", "dec");
+    state(rec, 2800, 3000, K::TaskReady, "PE1", "dec");
+    state(rec, 3000, 4200, K::TaskRun, "PE1", "dec");
+    state(rec, 4500, 4800, K::TaskIdle, "PE1", "dec");
+    (void)rec.begin_span(ns(4800), K::TaskRun, "PE1", "dec");
+    (void)rec.complete(ns(500), ns(3500), K::Recv, "PE1", "bits_q", "dec", kTok7);
+}
+
+struct AssertTripped {
+    std::string msg;
+};
+
+/// Routes SLM_ASSERT failures into an AssertTripped exception for its scope.
+class ThrowingAsserts {
+public:
+    ThrowingAsserts() : prev_(sim::set_assert_handler(&trip)) {}
+    ~ThrowingAsserts() { sim::set_assert_handler(prev_); }
+    ThrowingAsserts(const ThrowingAsserts&) = delete;
+    ThrowingAsserts& operator=(const ThrowingAsserts&) = delete;
+
+private:
+    static void trip(const sim::AssertInfo& ai) { throw AssertTripped{ai.msg}; }
+    sim::AssertHandler prev_;
+};
+
+template <typename F>
+std::string assert_message(F&& f) {
+    try {
+        f();
+    } catch (const AssertTripped& a) {
+        return a.msg;
+    }
+    return {};
 }
 
 }  // namespace
@@ -160,6 +266,113 @@ TEST(SpanModelTest, EveryTokenCriticalPathIsExact) {
         max_total = std::max(max_total, cp.total_ns);
     }
     EXPECT_EQ(worst.total_ns, max_total);
+}
+
+// ---- critical-path extraction on hand-built recorders ----
+
+TEST(SpanPathTest, CustodyChainPartitionsAlongEachHolder) {
+    obs::SpanRecorder rec;
+    build_custody_chain(rec);
+    latency(rec, 5000, 4000, "PE1", "dec", kTok7);
+
+    const std::vector<obs::CriticalPath> paths = obs::extract_critical_paths(rec);
+    ASSERT_EQ(paths.size(), 1u);
+    const obs::CriticalPath& cp = paths.front();
+    ASSERT_TRUE(cp.exact());
+    EXPECT_EQ(cp.hops, 2u);
+    using C = obs::PathCategory;
+    expect_same_segments(cp.segments, {{1000, 1500, C::Compute, "enc"},
+                                       {1500, 1800, C::Preempt, "enc"},
+                                       {1800, 2200, C::Compute, "enc"},
+                                       {2200, 2600, C::Bus, "enc"},
+                                       {2600, 2800, C::Deliver, "bits_q"},
+                                       {2800, 3000, C::Ready, "bits_q"},
+                                       {3000, 3500, C::DstBusy, "bits_q"},
+                                       {3500, 4200, C::Compute, "dec"},
+                                       {4200, 4800, C::Other, "dec"},
+                                       {4800, 5000, C::Compute, "dec"}});
+    expect_worst_is_first_maximum(rec);
+}
+
+TEST(SpanPathTest, TiedMaximumResolvesToFirstRecorded) {
+    for (const bool seven_first : {true, false}) {
+        SCOPED_TRACE(seven_first ? "token 7 first" : "token 8 first");
+        obs::SpanRecorder rec;
+        build_custody_chain(rec);
+        latency(rec, 4000, 500, "PE1", "dec", kTok8);
+        latency(rec, 5000, 4000, "PE1", "dec", seven_first ? kTok7 : kTok8);
+        latency(rec, 5000, 4000, "PE1", "dec", seven_first ? kTok8 : kTok7);
+        const obs::CriticalPath worst = obs::worst_critical_path(rec);
+        ASSERT_TRUE(worst.valid);
+        EXPECT_EQ(worst.token_id, seven_first ? 7u : 8u);
+        EXPECT_EQ(worst.hops, seven_first ? 2u : 0u);  // token 8 never hops
+        expect_worst_is_first_maximum(rec);
+    }
+}
+
+TEST(SpanPathTest, UncorrelatedSampleIsHeldByItsSink) {
+    obs::SpanRecorder rec;
+    build_custody_chain(rec);
+    latency(rec, 5000, 1000, "PE1", "dec", kTok7);
+    latency(rec, 5000, 2000, "PE1", "dec", {});  // the worst, kNoTokenId
+    const obs::CriticalPath worst = obs::worst_critical_path(rec);
+    ASSERT_TRUE(worst.exact());
+    EXPECT_EQ(worst.token_id, obs::kNoTokenId);
+    EXPECT_EQ(worst.hops, 0u);
+    EXPECT_EQ(worst.sink, "dec");
+    EXPECT_EQ(worst.anchor_ns, 3000u);
+    expect_worst_is_first_maximum(rec);
+}
+
+TEST(SpanPathTest, SinkWithoutTimelineIsEnvironment) {
+    obs::SpanRecorder rec;
+    build_custody_chain(rec);
+    latency(rec, 5000, 4000, "PE1", "dec", kTok7);
+    latency(rec, 6000, 4500, "", "stimulus", kTok8);  // the worst
+    const obs::CriticalPath worst = obs::worst_critical_path(rec);
+    ASSERT_TRUE(worst.exact());
+    ASSERT_EQ(worst.segments.size(), 1u);
+    EXPECT_EQ(worst.segments.front().category, obs::PathCategory::Env);
+    EXPECT_EQ(worst.segments.front().who, "stimulus");
+    expect_worst_is_first_maximum(rec);
+}
+
+TEST(SpanPathTest, OpenLastStateSpanRunsToTheSample) {
+    obs::SpanRecorder rec;
+    build_custody_chain(rec);
+    latency(rec, 7000, 2000, "PE1", "dec", kTok8);  // all inside dec's open Run
+    const obs::CriticalPath worst = obs::worst_critical_path(rec);
+    ASSERT_TRUE(worst.exact());
+    ASSERT_EQ(worst.segments.size(), 1u);
+    EXPECT_EQ(worst.segments.front().category, obs::PathCategory::Compute);
+    EXPECT_EQ(worst.segments.front().begin_ns, 5000u);
+    EXPECT_EQ(worst.segments.front().end_ns, 7000u);
+    expect_worst_is_first_maximum(rec);
+}
+
+TEST(SpanPathTest, UnorderedStateTimelineTripsTheSearchInvariant) {
+    const ThrowingAsserts guard;
+    using K = obs::SpanKind;
+    // Overlapping closed spans, and a closed span after a still-open one:
+    // both break the order that binary search relies on.
+    for (const bool open_first : {false, true}) {
+        SCOPED_TRACE(open_first ? "open span not last" : "overlapping spans");
+        obs::SpanRecorder rec;
+        if (open_first) {
+            (void)rec.begin_span(ns(0), K::TaskRun, "PE0", "t");
+        } else {
+            state(rec, 0, 10, K::TaskRun, "PE0", "t");
+        }
+        state(rec, 5, 15, K::TaskReady, "PE0", "t");
+        latency(rec, 20, 20, "PE0", "t", {});
+        const std::string expected = "non-overlapping";
+        EXPECT_NE(assert_message([&] { (void)obs::worst_critical_path(rec); })
+                      .find(expected),
+                  std::string::npos);
+        EXPECT_NE(assert_message([&] { (void)obs::extract_critical_paths(rec); })
+                      .find(expected),
+                  std::string::npos);
+    }
 }
 
 TEST(SpanModelTest, SpanDagInvariantsHold) {
@@ -292,6 +505,38 @@ TEST(SpanSweepTest, AttributedSweepIsByteIdenticalAcrossJobs) {
     }
 }
 
+TEST(SpanSweepTest, WorstPathEqualsFirstMaximumOnEveryPermutedCandidate) {
+    vocoder::VocoderConfig cfg;
+    cfg.frames = 40;
+    const sys::AppSpec app = vocoder::vocoder_app_spec(cfg.frames);
+    const sys::PlatformSpec platform = vocoder::vocoder_sweep_platform(cfg);
+    sys::EnumOptions eopts = vocoder::vocoder_enum_options();
+    eopts.sweep_priorities = true;
+    const std::vector<sys::MappingSpec> candidates =
+        sys::enumerate_mappings(app, platform, eopts);
+    ASSERT_GT(candidates.size(),
+              sys::enumerate_mappings(app, platform, vocoder::vocoder_enum_options())
+                  .size());
+    const sys::SystemSetup setup = vocoder::vocoder_setup(cfg);
+    for (const sys::MappingSpec& m : candidates) {
+        SCOPED_TRACE(m.name);
+        obs::SpanRecorder rec;
+        sys::SystemOptions opts;
+        opts.base_rtos = cfg.rtos;
+        opts.spans = &rec;
+        {
+            sys::System system(app, platform, m, opts);
+            setup(system);
+            system.run();
+            // As run_sweep attributes: the system alive, last states open.
+            ASSERT_TRUE(obs::worst_critical_path(rec).exact());
+            expect_worst_is_first_maximum(rec);
+        }
+        // After core teardown closed every state span.
+        expect_worst_is_first_maximum(rec);
+    }
+}
+
 TEST(SpanSweepTest, UnattributedSweepOmitsTheAttributionKey) {
     vocoder::VocoderConfig cfg;
     cfg.frames = 2;
@@ -313,5 +558,9 @@ TEST(SpanSweepTest, CandidateWithoutSamplesGetsNullAttribution) {
     const obs::CriticalPath cp = obs::worst_critical_path(rec);
     EXPECT_FALSE(cp.valid);
     EXPECT_FALSE(cp.exact());
+    EXPECT_TRUE(obs::extract_critical_paths(rec).empty());
+
+    build_custody_chain(rec);  // spans and hops, still no latency records
+    EXPECT_FALSE(obs::worst_critical_path(rec).valid);
     EXPECT_TRUE(obs::extract_critical_paths(rec).empty());
 }
