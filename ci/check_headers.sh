@@ -22,7 +22,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 # Coverage guard: every module expected to export headers must contribute at
 # least one, so a glob or layout change can't silently shrink what the gate
 # checks. New modules should be added here when they gain public headers.
-expected_modules="sim trace rtos arch refine iss vocoder analysis explore obs"
+expected_modules="sim trace rtos arch refine iss vocoder analysis explore obs fault parallel soak sys"
 fail=0
 for mod in $expected_modules; do
   if ! find "src/$mod" -name '*.hpp' -print -quit 2>/dev/null | grep -q .; then

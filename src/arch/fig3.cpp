@@ -17,7 +17,7 @@ Bus::Config ideal_bus() {
 
 }  // namespace
 
-Fig3Result run_fig3_unscheduled(trace::TraceSink* rec, const Fig3Delays& d) {
+Fig3Result run_fig3_unscheduled(trace::TraceRecorder* rec, const Fig3Delays& d) {
     sim::Kernel k;
     Bus bus{k, "bus", ideal_bus()};
     BusLink<int> link{k, bus, "ext"};
@@ -88,7 +88,7 @@ Fig3Result run_fig3_unscheduled(trace::TraceSink* rec, const Fig3Delays& d) {
     return res;
 }
 
-Fig3Result run_fig3_architecture(trace::TraceSink* rec, const Fig3Delays& d,
+Fig3Result run_fig3_architecture(trace::TraceRecorder* rec, const Fig3Delays& d,
                                  rtos::RtosConfig cfg,
                                  const std::function<void(rtos::OsCore&)>& attach) {
     sim::Kernel k;

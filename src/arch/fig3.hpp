@@ -41,9 +41,8 @@ struct Fig3Result {
 
 /// Simulate the unscheduled model (paper Fig. 3(a) / trace Fig. 8(a)): B2 and
 /// B3 run truly in parallel on the SLDL kernel; synchronization uses spec
-/// channels. Execution spans are recorded into `rec` (any TraceSink; may be
-/// null).
-Fig3Result run_fig3_unscheduled(trace::TraceSink* rec, const Fig3Delays& d = {});
+/// channels. Execution spans are recorded into `rec` (may be null).
+Fig3Result run_fig3_unscheduled(trace::TraceRecorder* rec, const Fig3Delays& d = {});
 
 /// Simulate the architecture model (paper Fig. 3(b) / trace Fig. 8(b)): the
 /// behaviors are refined into tasks on an RTOS model instance; B3 has higher
@@ -51,7 +50,7 @@ Fig3Result run_fig3_unscheduled(trace::TraceSink* rec, const Fig3Delays& d = {})
 /// cpu name and tracer are set internally. `attach` (optional) is invoked
 /// with the OS core after construction and before any task exists — the hook
 /// for observers such as obs::RtosAnalytics.
-Fig3Result run_fig3_architecture(trace::TraceSink* rec, const Fig3Delays& d = {},
+Fig3Result run_fig3_architecture(trace::TraceRecorder* rec, const Fig3Delays& d = {},
                                  rtos::RtosConfig cfg = {},
                                  const std::function<void(rtos::OsCore&)>& attach = {});
 

@@ -103,8 +103,8 @@ struct SystemOptions {
     /// context_switch_overhead, and speed_num/speed_den per PE. Quantum,
     /// preemption granularity, miss policy, and tracer pass through.
     rtos::RtosConfig base_rtos{};
-    /// Trace sink wired into every PE (overrides base_rtos.tracer when set).
-    trace::TraceSink* tracer = nullptr;
+    /// Trace recorder wired into every PE (overrides base_rtos.tracer when set).
+    trace::TraceRecorder* tracer = nullptr;
     /// Per-PE hook run right after each OsCore is constructed (observers,
     /// fault hooks, analytics), before any task exists.
     std::function<void(rtos::OsCore&)> on_os;

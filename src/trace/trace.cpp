@@ -1,9 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <map>
+#include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -50,113 +50,183 @@ std::string json_escape(std::string_view s) {
     return out;
 }
 
-void TraceRecorder::record(Record r) {
-    // Ordering contract (see trace.hpp): nondecreasing timestamps. Checked in
-    // debug builds only — the hot path stays branch-free under NDEBUG.
-    assert((records_.empty() || r.t >= records_.back().t) &&
-           "TraceRecorder::record: timestamps must be nondecreasing");
-    records_.push_back(std::move(r));
-}
-
-void TraceRecorder::exec_begin(SimTime t, std::string_view cpu, std::string_view actor) {
-    record({t, RecordKind::ExecBegin, std::string(cpu), std::string(actor), {}});
-}
-
-void TraceRecorder::exec_end(SimTime t, std::string_view cpu, std::string_view actor) {
-    record({t, RecordKind::ExecEnd, std::string(cpu), std::string(actor), {}});
-}
-
-void TraceRecorder::task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                               std::string_view state) {
-    record({t, RecordKind::TaskState, std::string(cpu), std::string(actor),
-            std::string(state)});
-}
-
-void TraceRecorder::context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                                   std::string_view from) {
-    record({t, RecordKind::ContextSwitch, std::string(cpu), std::string(to),
-            std::string(from)});
-}
-
-void TraceRecorder::irq(SimTime t, std::string_view cpu, std::string_view irq_name) {
-    record({t, RecordKind::Irq, std::string(cpu), std::string(irq_name), {}});
-}
-
-void TraceRecorder::channel_op(SimTime t, std::string_view channel, std::string_view op) {
-    record({t, RecordKind::ChannelOp, {}, std::string(channel), std::string(op)});
-}
-
-void TraceRecorder::marker(SimTime t, std::string_view text) {
-    record({t, RecordKind::Marker, {}, {}, std::string(text)});
-}
-
-void TraceRecorder::clear() {
-    records_.clear();
-}
-
-std::size_t TraceRecorder::count(RecordKind k) const {
-    return static_cast<std::size_t>(
-        std::count_if(records_.begin(), records_.end(),
-                      [k](const Record& r) { return r.kind == k; }));
-}
-
-std::size_t TraceRecorder::context_switches(const std::string& cpu) const {
-    return static_cast<std::size_t>(
-        std::count_if(records_.begin(), records_.end(), [&](const Record& r) {
-            return r.kind == RecordKind::ContextSwitch && (cpu.empty() || r.cpu == cpu);
-        }));
-}
-
 namespace {
 
-bool enters_running(const Record& r, const std::string& actor) {
-    return (r.kind == RecordKind::ExecBegin && r.actor == actor) ||
-           (r.kind == RecordKind::TaskState && r.actor == actor && r.detail == "Running");
+constexpr std::uint32_t kMagic = 0x534C5442;  // "SLTB"
+constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kMaxKind = static_cast<std::uint32_t>(RecordKind::Marker);
+
+// Sanity caps for load(): a corrupted length field must not turn into a
+// multi-gigabyte allocation before the stream read fails. Real traces stay
+// far below both (strings are task/cpu/irq names and short markers).
+constexpr std::uint32_t kMaxStringLen = 1u << 20;  // 1 MiB per interned string
+constexpr std::uint32_t kMaxStrings = 1u << 24;    // 16M distinct strings
+
+void put_u32(std::ostream& os, std::uint32_t v) {
+    char b[4];
+    for (int i = 0; i < 4; ++i) {
+        b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    os.write(b, 4);
 }
 
-bool leaves_running(const Record& r, const std::string& actor) {
-    return (r.kind == RecordKind::ExecEnd && r.actor == actor) ||
-           (r.kind == RecordKind::TaskState && r.actor == actor && r.detail != "Running");
+void put_u64(std::ostream& os, std::uint64_t v) {
+    char b[8];
+    for (int i = 0; i < 8; ++i) {
+        b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    os.write(b, 8);
+}
+
+bool get_u32(std::istream& is, std::uint32_t& v) {
+    char b[4];
+    if (!is.read(b, 4)) {
+        return false;
+    }
+    v = 0;
+    for (int i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    }
+    return true;
+}
+
+bool get_u64(std::istream& is, std::uint64_t& v) {
+    char b[8];
+    if (!is.read(b, 8)) {
+        return false;
+    }
+    v = 0;
+    for (int i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    }
+    return true;
+}
+
+bool is_exec_or_state(const Record& r) {
+    return r.kind == RecordKind::ExecBegin || r.kind == RecordKind::ExecEnd ||
+           r.kind == RecordKind::TaskState;
 }
 
 }  // namespace
 
-std::vector<Interval> TraceRecorder::intervals(const std::string& actor) const {
+void TraceRecorder::push(SimTime t, RecordKind kind, std::uint32_t cpu,
+                         std::uint32_t actor, std::uint32_t detail) {
+    SLM_ASSERT(records_.size() == 0 || t.ns() >= records_.back().t_ns,
+               "trace records must arrive in nondecreasing time order");
+    records_.append(Record{t.ns(), kind, cpu, actor, detail});
+}
+
+void TraceRecorder::exec_begin(SimTime t, std::string_view cpu, std::string_view actor) {
+    push(t, RecordKind::ExecBegin, strings_.intern(cpu), strings_.intern(actor), 0);
+}
+
+void TraceRecorder::exec_end(SimTime t, std::string_view cpu, std::string_view actor) {
+    push(t, RecordKind::ExecEnd, strings_.intern(cpu), strings_.intern(actor), 0);
+}
+
+void TraceRecorder::task_state(SimTime t, std::string_view cpu, std::string_view actor,
+                               std::string_view state) {
+    push(t, RecordKind::TaskState, strings_.intern(cpu), strings_.intern(actor),
+         strings_.intern(state));
+}
+
+void TraceRecorder::context_switch(SimTime t, std::string_view cpu, std::string_view to,
+                                   std::string_view from) {
+    push(t, RecordKind::ContextSwitch, strings_.intern(cpu), strings_.intern(to),
+         strings_.intern(from));
+}
+
+void TraceRecorder::irq(SimTime t, std::string_view cpu, std::string_view irq_name) {
+    push(t, RecordKind::Irq, strings_.intern(cpu), strings_.intern(irq_name), 0);
+}
+
+void TraceRecorder::channel_op(SimTime t, std::string_view channel, std::string_view op) {
+    push(t, RecordKind::ChannelOp, 0, strings_.intern(channel), strings_.intern(op));
+}
+
+void TraceRecorder::marker(SimTime t, std::string_view text) {
+    push(t, RecordKind::Marker, 0, 0, strings_.intern(text));
+}
+
+void TraceRecorder::clear() {
+    records_.clear();
+    strings_.clear();
+}
+
+std::size_t TraceRecorder::count(RecordKind k) const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+        n += records_[i].kind == k ? 1 : 0;
+    }
+    return n;
+}
+
+std::size_t TraceRecorder::context_switches(std::string_view cpu) const {
+    const std::optional<std::uint32_t> id = strings_.find(cpu);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
+        n += r.kind == RecordKind::ContextSwitch && (cpu.empty() || r.cpu == id) ? 1 : 0;
+    }
+    return n;
+}
+
+std::vector<Interval> TraceRecorder::intervals_of(std::uint32_t actor) const {
+    const std::optional<std::uint32_t> running_id = strings_.find("Running");
     std::vector<Interval> out;
     bool open = false;
-    SimTime begin;
-    for (const Record& r : records_) {
-        if (!open && enters_running(r, actor)) {
+    std::uint64_t begin = 0;
+    const auto close = [&](std::uint64_t end) {
+        if (end > begin) {
+            out.push_back({nanoseconds(begin), nanoseconds(end), str(actor)});
+        }
+    };
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
+        if (r.actor != actor || !is_exec_or_state(r)) {
+            continue;
+        }
+        const bool running = r.kind == RecordKind::ExecBegin ||
+                             (r.kind == RecordKind::TaskState && r.detail == running_id);
+        if (!open && running) {
             open = true;
-            begin = r.t;
-        } else if (open && leaves_running(r, actor)) {
+            begin = r.t_ns;
+        } else if (open && !running) {
             open = false;
-            if (r.t > begin) {
-                out.push_back({begin, r.t, actor});
-            }
+            close(r.t_ns);
         }
     }
-    if (open && !records_.empty() && records_.back().t > begin) {
-        out.push_back({begin, records_.back().t, actor});
+    if (open) {
+        close(records_.back().t_ns);
     }
     return out;
 }
 
-std::vector<std::string> TraceRecorder::actors() const {
-    std::vector<std::string> out;
-    for (const Record& r : records_) {
-        if (r.kind != RecordKind::ExecBegin && r.kind != RecordKind::ExecEnd &&
-            r.kind != RecordKind::TaskState) {
-            continue;
-        }
-        if (std::find(out.begin(), out.end(), r.actor) == out.end()) {
+std::vector<Interval> TraceRecorder::intervals(std::string_view actor) const {
+    const std::optional<std::uint32_t> id = strings_.find(actor);
+    return id ? intervals_of(*id) : std::vector<Interval>{};
+}
+
+std::vector<std::uint32_t> TraceRecorder::actor_ids() const {
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
+        if (is_exec_or_state(r) && std::find(out.begin(), out.end(), r.actor) == out.end()) {
             out.push_back(r.actor);
         }
     }
     return out;
 }
 
-SimTime TraceRecorder::busy_time(const std::string& actor) const {
+std::vector<std::string> TraceRecorder::actors() const {
+    std::vector<std::string> out;
+    for (const std::uint32_t id : actor_ids()) {
+        out.push_back(str(id));
+    }
+    return out;
+}
+
+SimTime TraceRecorder::busy_time(std::string_view actor) const {
     SimTime total;
     for (const Interval& iv : intervals(actor)) {
         total += iv.end - iv.begin;
@@ -164,20 +234,22 @@ SimTime TraceRecorder::busy_time(const std::string& actor) const {
     return total;
 }
 
-bool TraceRecorder::has_concurrent_execution(const std::string& cpu) const {
+bool TraceRecorder::has_concurrent_execution(std::string_view cpu) const {
     // Gather intervals of all actors that have records on this cpu and check
     // pairwise overlap after sorting by start time.
+    const std::optional<std::uint32_t> cpu_id = strings_.find(cpu);
     std::vector<Interval> all;
-    for (const std::string& a : actors()) {
-        // Does this actor appear on the requested cpu?
-        const bool on_cpu = std::any_of(records_.begin(), records_.end(), [&](const Record& r) {
-            return r.actor == a && r.cpu == cpu &&
-                   (r.kind == RecordKind::ExecBegin || r.kind == RecordKind::TaskState);
-        });
+    for (const std::uint32_t a : actor_ids()) {
+        bool on_cpu = false;
+        for (std::size_t i = 0; i < size() && !on_cpu; ++i) {
+            const Record& r = records_[i];
+            on_cpu = r.actor == a && r.cpu == cpu_id &&
+                     (r.kind == RecordKind::ExecBegin || r.kind == RecordKind::TaskState);
+        }
         if (!on_cpu) {
             continue;
         }
-        const auto ivs = intervals(a);
+        const auto ivs = intervals_of(a);
         all.insert(all.end(), ivs.begin(), ivs.end());
     }
     std::sort(all.begin(), all.end(),
@@ -190,11 +262,13 @@ bool TraceRecorder::has_concurrent_execution(const std::string& cpu) const {
     return false;
 }
 
-std::vector<SimTime> TraceRecorder::irq_times(const std::string& name) const {
+std::vector<SimTime> TraceRecorder::irq_times(std::string_view name) const {
+    const std::optional<std::uint32_t> id = strings_.find(name);
     std::vector<SimTime> out;
-    for (const Record& r : records_) {
-        if (r.kind == RecordKind::Irq && (name.empty() || r.actor == name)) {
-            out.push_back(r.t);
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
+        if (r.kind == RecordKind::Irq && (name.empty() || r.actor == id)) {
+            out.push_back(nanoseconds(r.t_ns));
         }
     }
     return out;
@@ -210,14 +284,14 @@ std::string TraceRecorder::render_gantt(SimTime t0, SimTime t1, int width) const
     };
 
     std::size_t name_w = 4;
-    const auto as = actors();
-    for (const auto& a : as) {
-        name_w = std::max(name_w, a.size());
+    const auto ids = actor_ids();
+    for (const std::uint32_t id : ids) {
+        name_w = std::max(name_w, str(id).size());
     }
 
-    for (const auto& a : as) {
+    for (const std::uint32_t id : ids) {
         std::string row(static_cast<std::size_t>(width), '.');
-        for (const Interval& iv : intervals(a)) {
+        for (const Interval& iv : intervals_of(id)) {
             if (iv.end <= t0 || iv.begin >= t1) {
                 continue;
             }
@@ -227,6 +301,7 @@ std::string TraceRecorder::render_gantt(SimTime t0, SimTime t1, int width) const
                 row[static_cast<std::size_t>(b)] = '#';
             }
         }
+        const std::string& a = str(id);
         os << a << std::string(name_w - a.size(), ' ') << " |" << row << "|\n";
     }
 
@@ -249,15 +324,16 @@ std::string TraceRecorder::utilization_report(SimTime t0, SimTime t1) const {
     SLM_ASSERT(t1 > t0, "utilization_report needs a non-empty window");
     std::ostringstream os;
     const double window = static_cast<double>((t1 - t0).ns());
+    const auto ids = actor_ids();
     std::size_t name_w = 5;
-    for (const auto& a : actors()) {
-        name_w = std::max(name_w, a.size());
+    for (const std::uint32_t id : ids) {
+        name_w = std::max(name_w, str(id).size());
     }
     os << "actor" << std::string(name_w - 5, ' ') << "  busy        util    intervals\n";
-    for (const auto& a : actors()) {
+    for (const std::uint32_t id : ids) {
         SimTime busy;
         std::size_t count = 0;
-        for (const Interval& iv : intervals(a)) {
+        for (const Interval& iv : intervals_of(id)) {
             const SimTime b = std::max(iv.begin, t0);
             const SimTime e = std::min(iv.end, t1);
             if (e > b) {
@@ -267,7 +343,7 @@ std::string TraceRecorder::utilization_report(SimTime t0, SimTime t1) const {
         }
         char line[96];
         std::snprintf(line, sizeof line, "%-*s  %-10s  %5.1f%%  %9zu\n",
-                      static_cast<int>(name_w), a.c_str(), busy.to_string().c_str(),
+                      static_cast<int>(name_w), str(id).c_str(), busy.to_string().c_str(),
                       100.0 * static_cast<double>(busy.ns()) / window, count);
         os << line;
     }
@@ -276,21 +352,20 @@ std::string TraceRecorder::utilization_report(SimTime t0, SimTime t1) const {
 
 void TraceRecorder::write_csv(std::ostream& os) const {
     os << "t_ns,kind,cpu,actor,detail\n";
-    for (const Record& r : records_) {
-        os << r.t.ns() << ',' << to_string(r.kind) << ',' << r.cpu << ',' << r.actor << ','
-           << r.detail << '\n';
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
+        os << r.t_ns << ',' << to_string(r.kind) << ',' << str(r.cpu) << ','
+           << str(r.actor) << ',' << str(r.detail) << '\n';
     }
 }
 
 void TraceRecorder::write_vcd(std::ostream& os) const {
-    const auto as = actors();
+    // One wire per actor; wire i is named by the printable character '!' + i.
+    const auto ids = actor_ids();
     os << "$timescale 1ns $end\n$scope module trace $end\n";
-    std::map<std::string, char> ids;
-    char next_id = '!';
-    for (const auto& a : as) {
-        ids[a] = next_id;
-        os << "$var wire 1 " << next_id << ' ' << a << " $end\n";
-        ++next_id;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        os << "$var wire 1 " << static_cast<char>('!' + i) << ' ' << str(ids[i])
+           << " $end\n";
     }
     os << "$upscope $end\n$enddefinitions $end\n";
 
@@ -301,18 +376,19 @@ void TraceRecorder::write_vcd(std::ostream& os) const {
         bool value;
     };
     std::vector<Change> changes;
-    for (const auto& a : as) {
-        for (const Interval& iv : intervals(a)) {
-            changes.push_back({iv.begin, ids[a], true});
-            changes.push_back({iv.end, ids[a], false});
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const char wire = static_cast<char>('!' + i);
+        for (const Interval& iv : intervals_of(ids[i])) {
+            changes.push_back({iv.begin, wire, true});
+            changes.push_back({iv.end, wire, false});
         }
     }
     std::sort(changes.begin(), changes.end(),
               [](const Change& x, const Change& y) { return x.t < y.t; });
 
     os << "#0\n";
-    for (const auto& a : as) {
-        os << '0' << ids[a] << '\n';
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        os << '0' << static_cast<char>('!' + i) << '\n';
     }
     SimTime last;
     bool first = true;
@@ -345,24 +421,103 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
     };
 
     int tid = 1;
-    for (const std::string& a : actors()) {
-        const std::string name = json_escape(a);
+    for (const std::uint32_t id : actor_ids()) {
+        const std::string name = json_escape(str(id));
         emit(R"({"name":"thread_name","ph":"M","pid":1,"tid":)" + std::to_string(tid) +
              R"(,"args":{"name":")" + name + "\"}}");
-        for (const Interval& iv : intervals(a)) {
+        for (const Interval& iv : intervals_of(id)) {
             emit(R"({"name":")" + name + R"(","ph":"X","pid":1,"tid":)" +
                  std::to_string(tid) + R"(,"ts":)" + us(iv.begin) + R"(,"dur":)" +
                  us(iv.end - iv.begin) + "}");
         }
         ++tid;
     }
-    for (const Record& r : records_) {
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Record& r = records_[i];
         if (r.kind == RecordKind::Irq) {
-            emit(R"({"name":"irq:)" + json_escape(r.actor) +
-                 R"(","ph":"i","pid":1,"tid":0,"ts":)" + us(r.t) + R"(,"s":"g"})");
+            emit(R"({"name":"irq:)" + json_escape(str(r.actor)) +
+                 R"(","ph":"i","pid":1,"tid":0,"ts":)" + us(nanoseconds(r.t_ns)) +
+                 R"(,"s":"g"})");
         }
     }
     os << "\n]\n";
+}
+
+void TraceRecorder::save(std::ostream& os) const {
+    put_u32(os, kMagic);
+    put_u32(os, kVersion);
+    put_u32(os, static_cast<std::uint32_t>(strings_.count()));
+    for (std::uint32_t i = 0; i < strings_.count(); ++i) {
+        const std::string& s = strings_.str(i);
+        put_u32(os, static_cast<std::uint32_t>(s.size()));
+        os.write(s.data(), static_cast<std::streamsize>(s.size()));
+    }
+    put_u64(os, records_.size());
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+        const Record& r = records_[i];
+        put_u64(os, r.t_ns);
+        put_u32(os, static_cast<std::uint32_t>(r.kind));
+        put_u32(os, r.cpu);
+        put_u32(os, r.actor);
+        put_u32(os, r.detail);
+    }
+}
+
+bool TraceRecorder::load(std::istream& is) {
+    clear();
+    if (!read(is)) {
+        clear();
+        return false;
+    }
+    return true;
+}
+
+bool TraceRecorder::read(std::istream& is) {
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    std::uint32_t nstrings = 0;
+    if (!get_u32(is, magic) || magic != kMagic || !get_u32(is, version) ||
+        version != kVersion || !get_u32(is, nstrings) || nstrings == 0 ||
+        nstrings > kMaxStrings) {
+        return false;
+    }
+    // Stream ids map to interned ids, so equal ids mean equal strings even
+    // for a stream whose table repeats a string.
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t i = 0; i < nstrings; ++i) {
+        std::uint32_t len = 0;
+        if (!get_u32(is, len) || len > kMaxStringLen) {
+            return false;
+        }
+        std::string s(len, '\0');
+        if (len > 0 && !is.read(s.data(), static_cast<std::streamsize>(len))) {
+            return false;
+        }
+        if (i == 0 && !s.empty()) {
+            return false;  // slot 0 is always the empty string
+        }
+        ids.push_back(strings_.intern(s));
+    }
+    std::uint64_t nrecords = 0;
+    if (!get_u64(is, nrecords)) {
+        return false;
+    }
+    for (std::uint64_t i = 0; i < nrecords; ++i) {
+        std::uint64_t t_ns = 0;
+        std::uint32_t kind = 0;
+        std::uint32_t cpu = 0;
+        std::uint32_t actor = 0;
+        std::uint32_t detail = 0;
+        if (!get_u64(is, t_ns) || !get_u32(is, kind) || !get_u32(is, cpu) ||
+            !get_u32(is, actor) || !get_u32(is, detail) || kind > kMaxKind ||
+            cpu >= nstrings || actor >= nstrings || detail >= nstrings ||
+            (records_.size() > 0 && t_ns < records_.back().t_ns)) {
+            return false;
+        }
+        records_.append(Record{t_ns, static_cast<RecordKind>(kind), ids[cpu], ids[actor],
+                               ids[detail]});
+    }
+    return true;
 }
 
 }  // namespace slm::trace

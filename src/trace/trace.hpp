@@ -9,18 +9,19 @@
 
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
+#include "trace/intern.hpp"
 
 namespace slm::trace {
 
 /// What a trace record describes.
-enum class RecordKind {
+enum class RecordKind : std::uint32_t {
     TaskState,      ///< actor changed scheduling state (detail = new state name)
     ContextSwitch,  ///< CPU switched tasks (actor = incoming, detail = outgoing)
     Irq,            ///< interrupt occurred (actor = irq name)
     ExecBegin,      ///< actor started a computation span
     ExecEnd,        ///< actor finished a computation span
     ChannelOp,      ///< channel activity (actor = channel, detail = op)
-    Marker,         ///< free-form annotation
+    Marker,         ///< free-form annotation (detail = text)
 };
 
 [[nodiscard]] const char* to_string(RecordKind k);
@@ -31,43 +32,19 @@ enum class RecordKind {
 /// on escaping.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Abstract recording interface for timestamped scheduling traces.
-///
-/// Every producer (the OS core via RtosConfig::tracer, SpecTraceAdapter, the
-/// arch/vocoder models, hand-written markers) records through this interface,
-/// so sinks are interchangeable: `TraceRecorder` keeps records as strings and
-/// offers derived views and text exporters; `obs::BinaryTraceSink` interns
-/// strings into a fixed-width binary form for hot recording paths and
-/// converts losslessly to a TraceRecorder afterwards.
-///
-/// **Ordering contract:** records must arrive in nondecreasing time order.
-/// Kernel- and RTOS-emitted records satisfy it by construction (timestamps
-/// are kernel.now(), which never decreases); hand-recorded markers must take
-/// care. Sinks assert the contract in debug builds.
-class TraceSink {
-public:
-    virtual ~TraceSink() = default;
-
-    virtual void exec_begin(SimTime t, std::string_view cpu, std::string_view actor) = 0;
-    virtual void exec_end(SimTime t, std::string_view cpu, std::string_view actor) = 0;
-    virtual void task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                            std::string_view state) = 0;
-    virtual void context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                                std::string_view from) = 0;
-    virtual void irq(SimTime t, std::string_view cpu, std::string_view irq_name) = 0;
-    virtual void channel_op(SimTime t, std::string_view channel, std::string_view op) = 0;
-    virtual void marker(SimTime t, std::string_view text) = 0;
-};
-
-/// One timestamped trace record. `cpu` names the resource (PE) the record
-/// belongs to — empty for records that are not bound to a processor.
+/// One fixed-width trace record; every string is an id into the recorder's
+/// string table (TraceRecorder::str). `cpu` names the resource (PE) the
+/// record belongs to — id 0, the empty string, for records not bound to a
+/// processor. `actor` and `detail` carry the kind-specific payload listed on
+/// RecordKind.
 struct Record {
-    SimTime t;
-    RecordKind kind = RecordKind::Marker;
-    std::string cpu;
-    std::string actor;
-    std::string detail;
+    std::uint64_t t_ns;
+    RecordKind kind;
+    std::uint32_t cpu;
+    std::uint32_t actor;
+    std::uint32_t detail;
 };
+static_assert(sizeof(Record) == 24);
 
 /// A half-open interval [begin, end) during which `actor` was executing.
 struct Interval {
@@ -78,60 +55,76 @@ struct Interval {
     friend bool operator==(const Interval&, const Interval&) = default;
 };
 
-/// Collects timestamped records from models (explicit ExecBegin/ExecEnd spans
-/// in specification models, task-state changes emitted by the RTOS model) and
-/// derives per-actor execution intervals, Gantt charts, and export formats.
+/// Collects timestamped scheduling records from models (explicit
+/// ExecBegin/ExecEnd spans in specification models, task-state changes
+/// emitted by the RTOS model) and derives per-actor execution intervals,
+/// Gantt charts, and export formats.
 ///
-/// Recording is append-only; every record copies its strings, so the hot
-/// recording path allocates. For record-rate-sensitive runs, record into an
-/// obs::BinaryTraceSink and convert (losslessly) to a TraceRecorder only when
-/// a derived view or exporter is needed. All analysis walks the record list
-/// on demand.
+/// Records are fixed-width 24-byte Records over an interned string table
+/// (StringTable + RecordLog, the machinery shared with obs::SpanRecorder):
+/// repeat names — the same tasks, CPUs and state names over and over — hit a
+/// direct-mapped cache and cost a size check plus memcmp, no allocation.
+/// An empty recorder allocates nothing; recorders are move-only. Recording
+/// is append-only; all analysis walks the records on demand and compares
+/// ids, not strings.
 ///
-/// The ordering contract of TraceSink applies: a violation produces silently
-/// wrong derived views, not an error. Debug builds assert the contract in
-/// record(); release builds accept the record unchecked.
-class TraceRecorder final : public TraceSink {
+/// **Ordering contract:** records must arrive in nondecreasing time order.
+/// Kernel- and RTOS-emitted records satisfy it by construction (timestamps
+/// are kernel.now(), which never decreases); hand-recorded markers must take
+/// care. Every build checks the contract with SLM_ASSERT: an out-of-order
+/// record fails the assertion (the installed sim::set_assert_handler runs,
+/// by default an abort) instead of silently corrupting the derived views.
+///
+/// The binary file format (save()/load()) is documented in
+/// docs/observability.md: "SLTB" magic, version, string table, then packed
+/// little-endian records.
+class TraceRecorder {
 public:
     // ---- recording ----
-    void record(Record r);
-    void exec_begin(SimTime t, std::string_view cpu, std::string_view actor) override;
-    void exec_end(SimTime t, std::string_view cpu, std::string_view actor) override;
+    void exec_begin(SimTime t, std::string_view cpu, std::string_view actor);
+    void exec_end(SimTime t, std::string_view cpu, std::string_view actor);
     void task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                    std::string_view state) override;
+                    std::string_view state);
     void context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                        std::string_view from) override;
-    void irq(SimTime t, std::string_view cpu, std::string_view irq_name) override;
-    void channel_op(SimTime t, std::string_view channel, std::string_view op) override;
-    void marker(SimTime t, std::string_view text) override;
+                        std::string_view from);
+    void irq(SimTime t, std::string_view cpu, std::string_view irq_name);
+    void channel_op(SimTime t, std::string_view channel, std::string_view op);
+    void marker(SimTime t, std::string_view text);
 
     void clear();
 
     // ---- raw access ----
-    [[nodiscard]] const std::vector<Record>& records() const { return records_; }
+    [[nodiscard]] std::size_t size() const { return records_.size(); }
+    [[nodiscard]] const Record& record(std::size_t i) const { return records_[i]; }
+    /// The interned string for `id` (asserts on out-of-range ids).
+    [[nodiscard]] const std::string& str(std::uint32_t id) const {
+        return strings_.str(id);
+    }
+    [[nodiscard]] std::size_t string_count() const { return strings_.count(); }
+
     [[nodiscard]] std::size_t count(RecordKind k) const;
-    [[nodiscard]] std::size_t context_switches(const std::string& cpu = {}) const;
+    [[nodiscard]] std::size_t context_switches(std::string_view cpu = {}) const;
 
     // ---- derived views ----
 
     /// Execution intervals of one actor, from ExecBegin/ExecEnd pairs and/or
     /// TaskState records entering/leaving the "Running" state. Open intervals
     /// at trace end are closed at the last record's timestamp.
-    [[nodiscard]] std::vector<Interval> intervals(const std::string& actor) const;
+    [[nodiscard]] std::vector<Interval> intervals(std::string_view actor) const;
 
     /// All distinct actors appearing in exec/task-state records, in order of
     /// first appearance.
     [[nodiscard]] std::vector<std::string> actors() const;
 
     /// Total time `actor` spent executing.
-    [[nodiscard]] SimTime busy_time(const std::string& actor) const;
+    [[nodiscard]] SimTime busy_time(std::string_view actor) const;
 
     /// True if any two execution intervals of different actors on `cpu`
     /// overlap — i.e. the serialization invariant of an RTOS model is violated.
-    [[nodiscard]] bool has_concurrent_execution(const std::string& cpu) const;
+    [[nodiscard]] bool has_concurrent_execution(std::string_view cpu) const;
 
     /// Timestamps of Irq records (optionally filtered by irq name).
-    [[nodiscard]] std::vector<SimTime> irq_times(const std::string& name = {}) const;
+    [[nodiscard]] std::vector<SimTime> irq_times(std::string_view name = {}) const;
 
     // ---- rendering / export ----
 
@@ -157,8 +150,26 @@ public:
     /// requires. Actor and IRQ names are JSON-escaped via json_escape().
     void write_chrome_trace(std::ostream& os) const;
 
+    // ---- binary file format ----
+
+    /// Write the trace: magic "SLTB", version, string table, records.
+    void save(std::ostream& os) const;
+    /// Load a trace previously save()d, replacing this recorder's contents.
+    /// Returns false (leaving the recorder cleared) on a malformed stream.
+    [[nodiscard]] bool load(std::istream& is);
+
 private:
-    std::vector<Record> records_;
+    void push(SimTime t, RecordKind kind, std::uint32_t cpu, std::uint32_t actor,
+              std::uint32_t detail);
+    [[nodiscard]] bool read(std::istream& is);
+    /// Ids of actors() in the same order.
+    [[nodiscard]] std::vector<std::uint32_t> actor_ids() const;
+    [[nodiscard]] std::vector<Interval> intervals_of(std::uint32_t actor) const;
+
+    /// Records live in fixed-size chunks (RecordLog): appends never
+    /// reallocate-and-copy. 64Ki records = 1.5 MiB per chunk.
+    RecordLog<Record> records_;
+    StringTable strings_;
 };
 
 /// Automatic tracing for *specification* models: attach as a kernel observer
@@ -174,11 +185,10 @@ private:
 /// Use an explicit name filter to keep testbench/device processes out of the
 /// trace. Not intended for RTOS-based models — the OS core (rtos::OsCore,
 /// under any API personality) emits richer task-state records through
-/// RtosConfig::tracer instead (any TraceSink: a TraceRecorder, or an
-/// obs::BinaryTraceSink when recording overhead matters).
+/// RtosConfig::tracer instead.
 class SpecTraceAdapter final : public sim::KernelObserver {
 public:
-    SpecTraceAdapter(sim::Kernel& kernel, TraceSink& rec, std::string cpu = {})
+    SpecTraceAdapter(sim::Kernel& kernel, TraceRecorder& rec, std::string cpu = {})
         : kernel_(kernel), rec_(rec), cpu_(std::move(cpu)) {}
 
     /// Record only processes whose name satisfies `pred`.
@@ -200,7 +210,7 @@ public:
 
 private:
     sim::Kernel& kernel_;
-    TraceSink& rec_;
+    TraceRecorder& rec_;
     std::string cpu_;
     std::function<bool(const std::string&)> filter_;
 };

@@ -1,5 +1,5 @@
 // Unified observability layer (src/obs/): metrics registry semantics and
-// exposition formats, binary trace sink losslessness + file format, and the
+// exposition formats, trace recorder binary storage + SLTB format, and the
 // online per-task analytics observer including the priority-inversion
 // detector. The cross-personality guarantees of the analytics metrics are
 // pinned separately in tests/test_conformance.cpp.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "obs/analytics.hpp"
-#include "obs/binary_trace.hpp"
 #include "rtos/os_channels.hpp"
 #include "rtos/rtos.hpp"
 #include "sim/kernel.hpp"
@@ -211,13 +210,13 @@ TEST(StatsRegistration, OsAndTaskStatsCarryLabels) {
 }
 
 // ---------------------------------------------------------------------------
-// BinaryTraceSink
+// Binary trace storage: TraceRecorder's interned records, SLTB file format
 
 namespace {
 
-/// Record the same mixed-kind scenario into any sink. Names include JSON
-/// metacharacters so export round-trips also exercise the escaper.
-void record_scenario(trace::TraceSink& s) {
+/// Record a mixed-kind scenario. Names include JSON metacharacters so export
+/// round-trips also exercise the escaper.
+void record_scenario(trace::TraceRecorder& s) {
     s.marker(0_us, "start \"run\"");
     s.task_state(1_us, "PE0", "drv", "Ready");
     s.task_state(1_us, "PE0", "drv", "Running");
@@ -233,74 +232,38 @@ void record_scenario(trace::TraceSink& s) {
 }  // namespace
 
 TEST(BinaryTrace, InternsRepeatedStringsOnce) {
-    BinaryTraceSink bin;
+    trace::TraceRecorder rec;
     for (int i = 0; i < 1000; ++i) {
-        bin.task_state(microseconds(static_cast<std::uint64_t>(i)), "PE0", "drv",
+        rec.task_state(microseconds(static_cast<std::uint64_t>(i)), "PE0", "drv",
                        "Running");
     }
-    EXPECT_EQ(bin.size(), 1000u);
+    EXPECT_EQ(rec.size(), 1000u);
     // "", "PE0", "drv", "Running" -- nothing else, no matter how many records.
-    EXPECT_EQ(bin.string_count(), 4u);
-    EXPECT_EQ(bin.str(0), "");  // the empty string is always id 0
+    EXPECT_EQ(rec.string_count(), 4u);
+    EXPECT_EQ(rec.str(0), "");  // the empty string is always id 0
 }
 
 TEST(BinaryTrace, RecordsCarryKindAndInternedIds) {
-    BinaryTraceSink bin;
-    bin.context_switch(2_us, "PE0", "b", "a");
-    ASSERT_EQ(bin.size(), 1u);
-    const BinaryTraceSink::BinRecord& r = bin.record(0);
+    trace::TraceRecorder rec;
+    rec.context_switch(2_us, "PE0", "b", "a");
+    ASSERT_EQ(rec.size(), 1u);
+    const trace::Record& r = rec.record(0);
     EXPECT_EQ(r.t_ns, 2000u);
-    EXPECT_EQ(r.kind, static_cast<std::uint32_t>(trace::RecordKind::ContextSwitch));
-    EXPECT_EQ(bin.str(r.cpu), "PE0");
-    EXPECT_EQ(bin.str(r.actor), "b");   // incoming
-    EXPECT_EQ(bin.str(r.detail), "a");  // outgoing
-}
-
-TEST(BinaryTrace, ReplayMatchesDirectRecordingByteForByte) {
-    trace::TraceRecorder direct;
-    BinaryTraceSink bin;
-    record_scenario(direct);
-    record_scenario(bin);
-    const trace::TraceRecorder replayed = bin.to_recorder();
-    const auto dump = [](const trace::TraceRecorder& rec) {
-        std::ostringstream csv;
-        std::ostringstream vcd;
-        std::ostringstream chrome;
-        rec.write_csv(csv);
-        rec.write_vcd(vcd);
-        rec.write_chrome_trace(chrome);
-        return std::vector<std::string>{csv.str(), vcd.str(), chrome.str()};
-    };
-    EXPECT_EQ(dump(replayed), dump(direct));
-    // And the derived views agree too.
-    EXPECT_EQ(replayed.busy_time("drv"), direct.busy_time("drv"));
-    EXPECT_EQ(replayed.context_switches(), direct.context_switches());
-}
-
-TEST(BinaryTrace, DirectChromeTraceMatchesRecorderPath) {
-    // write_chrome_trace() renders straight from the interned records; it
-    // must be byte-identical to materialising a TraceRecorder first, so the
-    // direct path can never drift from the reference exporter.
-    BinaryTraceSink bin;
-    record_scenario(bin);
-    std::ostringstream direct;
-    std::ostringstream via_recorder;
-    bin.write_chrome_trace(direct);
-    bin.to_recorder().write_chrome_trace(via_recorder);
-    EXPECT_EQ(direct.str(), via_recorder.str());
-    ASSERT_FALSE(direct.str().empty());
-    EXPECT_EQ(direct.str().front(), '[');
+    EXPECT_EQ(r.kind, trace::RecordKind::ContextSwitch);
+    EXPECT_EQ(rec.str(r.cpu), "PE0");
+    EXPECT_EQ(rec.str(r.actor), "b");   // incoming
+    EXPECT_EQ(rec.str(r.detail), "a");  // outgoing
 }
 
 TEST(BinaryTrace, ChromeTraceSurvivesSaveLoadRoundTrip) {
-    BinaryTraceSink bin;
-    record_scenario(bin);
+    trace::TraceRecorder rec;
+    record_scenario(rec);
     std::ostringstream before;
-    bin.write_chrome_trace(before);
+    rec.write_chrome_trace(before);
 
     std::stringstream file;
-    bin.save(file);
-    BinaryTraceSink loaded;
+    rec.save(file);
+    trace::TraceRecorder loaded;
     ASSERT_TRUE(loaded.load(file));
     std::ostringstream after;
     loaded.write_chrome_trace(after);
@@ -308,39 +271,39 @@ TEST(BinaryTrace, ChromeTraceSurvivesSaveLoadRoundTrip) {
 }
 
 TEST(BinaryTrace, SaveLoadRoundTrip) {
-    BinaryTraceSink bin;
-    record_scenario(bin);
+    trace::TraceRecorder rec;
+    record_scenario(rec);
     std::stringstream file;
-    bin.save(file);
+    rec.save(file);
 
-    BinaryTraceSink loaded;
+    trace::TraceRecorder loaded;
     loaded.marker(0_us, "stale");  // load() must replace, not append
     ASSERT_TRUE(loaded.load(file));
-    ASSERT_EQ(loaded.size(), bin.size());
-    for (std::size_t i = 0; i < bin.size(); ++i) {
-        const auto& a = bin.record(i);
+    ASSERT_EQ(loaded.size(), rec.size());
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        const auto& a = rec.record(i);
         const auto& b = loaded.record(i);
         EXPECT_EQ(a.t_ns, b.t_ns);
         EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(bin.str(a.cpu), loaded.str(b.cpu));
-        EXPECT_EQ(bin.str(a.actor), loaded.str(b.actor));
-        EXPECT_EQ(bin.str(a.detail), loaded.str(b.detail));
+        EXPECT_EQ(rec.str(a.cpu), loaded.str(b.cpu));
+        EXPECT_EQ(rec.str(a.actor), loaded.str(b.actor));
+        EXPECT_EQ(rec.str(a.detail), loaded.str(b.detail));
     }
     std::ostringstream before;
     std::ostringstream after;
-    bin.to_recorder().write_csv(before);
-    loaded.to_recorder().write_csv(after);
+    rec.write_csv(before);
+    loaded.write_csv(after);
     EXPECT_EQ(before.str(), after.str());
 }
 
 TEST(BinaryTrace, LoadRejectsMalformedStreams) {
-    BinaryTraceSink bin;
-    record_scenario(bin);
+    trace::TraceRecorder rec;
+    record_scenario(rec);
     std::stringstream good;
-    bin.save(good);
+    rec.save(good);
     const std::string bytes = good.str();
 
-    BinaryTraceSink sink;
+    trace::TraceRecorder sink;
     {
         std::stringstream s{"not a trace"};
         EXPECT_FALSE(sink.load(s));
@@ -375,24 +338,24 @@ std::uint64_t fuzz_next(std::uint64_t& x) {
 
 TEST(BinaryTrace, CorruptionFuzzNeverCrashes) {
     // Every prefix truncation plus a seeded storm of bit flips and byte
-    // stomps. load() must either reject the stream (leaving the sink
+    // stomps. load() must either reject the stream (leaving the recorder
     // cleared) or yield a well-formed trace that is safe to re-export; it
     // must never crash or index out of bounds (the caps and per-record
     // validation in load() bound every field).
-    BinaryTraceSink bin;
-    record_scenario(bin);
+    trace::TraceRecorder rec;
+    record_scenario(rec);
     std::stringstream good;
-    bin.save(good);
+    rec.save(good);
     const std::string bytes = good.str();
     ASSERT_GT(bytes.size(), 16u);
 
     const auto probe = [](const std::string& data) {
-        BinaryTraceSink sink;
+        trace::TraceRecorder sink;
         std::stringstream s{data};
         if (sink.load(s)) {
             // Whatever survived the damage must still walk and export.
             std::ostringstream csv;
-            sink.to_recorder().write_csv(csv);
+            sink.write_csv(csv);
         } else {
             EXPECT_EQ(sink.size(), 0u);  // rejected = cleared, not half-loaded
         }
@@ -423,27 +386,27 @@ TEST(BinaryTrace, CorruptionFuzzNeverCrashes) {
 }
 
 TEST(BinaryTrace, ClearResetsRecordsAndAcceptsEarlierTimes) {
-    BinaryTraceSink bin;
-    bin.marker(10_us, "m");
-    bin.clear();
-    EXPECT_EQ(bin.size(), 0u);
-    bin.marker(1_us, "after-clear");  // earlier than the cleared record: fine
-    EXPECT_EQ(bin.size(), 1u);
+    trace::TraceRecorder rec;
+    rec.marker(10_us, "m");
+    rec.clear();
+    EXPECT_EQ(rec.size(), 0u);
+    rec.marker(1_us, "after-clear");  // earlier than the cleared record: fine
+    EXPECT_EQ(rec.size(), 1u);
 }
 
 TEST(BinaryTrace, ChunkBoundaryIsSeamless) {
     // Cross the 64Ki-record chunk boundary and verify indexed access on both
     // sides of it.
-    BinaryTraceSink bin;
+    trace::TraceRecorder rec;
     const std::size_t n = (1u << 16) + 17;
     for (std::size_t i = 0; i < n; ++i) {
-        bin.marker(nanoseconds(i), "m");
+        rec.marker(nanoseconds(i), "m");
     }
-    ASSERT_EQ(bin.size(), n);
-    EXPECT_EQ(bin.record(0).t_ns, 0u);
-    EXPECT_EQ(bin.record((1u << 16) - 1).t_ns, (1u << 16) - 1);
-    EXPECT_EQ(bin.record(1u << 16).t_ns, 1u << 16);
-    EXPECT_EQ(bin.record(n - 1).t_ns, n - 1);
+    ASSERT_EQ(rec.size(), n);
+    EXPECT_EQ(rec.record(0).t_ns, 0u);
+    EXPECT_EQ(rec.record((1u << 16) - 1).t_ns, (1u << 16) - 1);
+    EXPECT_EQ(rec.record(1u << 16).t_ns, 1u << 16);
+    EXPECT_EQ(rec.record(n - 1).t_ns, n - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "sim/assert.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
 
@@ -171,7 +172,18 @@ TEST(Trace, ClearResets) {
     TraceRecorder rec;
     rec.marker(0_us, "m");
     rec.clear();
-    EXPECT_TRUE(rec.records().empty());
+    EXPECT_EQ(rec.size(), 0u);
+}
+
+TEST(Trace, OutOfOrderRecordTripsAssert) {
+    // Checked in every build type: the record is rejected, not appended.
+    TraceRecorder rec;
+    rec.marker(10_us, "late");
+    const sim::AssertHandler prev =
+        sim::set_assert_handler(+[](const sim::AssertInfo&) { throw 1; });
+    EXPECT_THROW(rec.task_state(5_us, "PE0", "t", "Running"), int);
+    sim::set_assert_handler(prev);
+    EXPECT_EQ(rec.size(), 1u);
 }
 
 TEST(SpecTraceAdapterTest, RecordsDelayStepsAsExecution) {
@@ -229,8 +241,8 @@ TEST(Trace, GanttRendersRows) {
     rec.exec_begin(0_us, "PE0", "B2");
     rec.exec_end(50_us, "PE0", "B2");
     rec.exec_begin(50_us, "PE0", "B3");
-    rec.exec_end(100_us, "PE0", "B3");
     rec.irq(75_us, "PE0", "ext");
+    rec.exec_end(100_us, "PE0", "B3");
     const std::string g = rec.render_gantt(0_us, 100_us, 20);
     // B2 occupies the first half, B3 the second.
     EXPECT_NE(g.find("|##########..........|"), std::string::npos) << g;
@@ -271,8 +283,8 @@ TEST(Trace, CsvExport) {
 TEST(Trace, ChromeTraceExport) {
     TraceRecorder rec;
     rec.exec_begin(0_us, "PE0", "task_a");
-    rec.exec_end(4_us, "PE0", "task_a");
     rec.irq(2_us, "PE0", "ext");
+    rec.exec_end(4_us, "PE0", "task_a");
     std::ostringstream os;
     rec.write_chrome_trace(os);
     const std::string j = os.str();
@@ -288,8 +300,8 @@ TEST(Trace, ChromeTraceEscapesJsonMetacharacters) {
     // unescaped quote would truncate the string and corrupt the whole file.
     TraceRecorder rec;
     rec.exec_begin(0_us, "PE0", "say \"hi\"\\now");
-    rec.exec_end(4_us, "PE0", "say \"hi\"\\now");
     rec.irq(2_us, "PE0", "line\nbreak");
+    rec.exec_end(4_us, "PE0", "say \"hi\"\\now");
     std::ostringstream os;
     rec.write_chrome_trace(os);
     const std::string j = os.str();
@@ -318,4 +330,74 @@ TEST(Trace, VcdExportStructure) {
     EXPECT_NE(vcd.find("#0\n"), std::string::npos);
     EXPECT_NE(vcd.find("1!"), std::string::npos);
     EXPECT_NE(vcd.find("#4000\n0!"), std::string::npos);
+}
+
+TEST(Trace, ExportersMatchGoldenBytes) {
+    // Every RecordKind, a name past the small-string limit, and one that
+    // needs JSON escaping; bytes captured from the string-record recorder.
+    TraceRecorder rec;
+    const std::string enc = "vocoder.codec.encoder_task";
+    const std::string ctl = "ctl \"loop\"\\main";
+    rec.marker(0_us, "frame \"0\"");
+    rec.context_switch(1_us, "DSP0", enc, "<idle>");
+    rec.task_state(1_us, "DSP0", enc, "Running");
+    rec.exec_begin(2_us, "DSP1", ctl);
+    rec.irq(3_us, "DSP0", "audio_subframe_irq");
+    rec.channel_op(4_us, "frame_q", "send");
+    rec.task_state(5_us, "DSP0", enc, "Ready");
+    rec.exec_end(7_us, "DSP1", ctl);
+    for (int k = 0; k <= static_cast<int>(RecordKind::Marker); ++k) {
+        EXPECT_GT(rec.count(static_cast<RecordKind>(k)), 0u) << k;
+    }
+    std::ostringstream csv;
+    std::ostringstream vcd;
+    std::ostringstream chrome;
+    rec.write_csv(csv);
+    rec.write_vcd(vcd);
+    rec.write_chrome_trace(chrome);
+    EXPECT_EQ(csv.str(), R"golden(t_ns,kind,cpu,actor,detail
+0,marker,,,frame "0"
+1000,context_switch,DSP0,vocoder.codec.encoder_task,<idle>
+1000,task_state,DSP0,vocoder.codec.encoder_task,Running
+2000,exec_begin,DSP1,ctl "loop"\main,
+3000,irq,DSP0,audio_subframe_irq,
+4000,channel_op,,frame_q,send
+5000,task_state,DSP0,vocoder.codec.encoder_task,Ready
+7000,exec_end,DSP1,ctl "loop"\main,
+)golden");
+    EXPECT_EQ(vcd.str(), R"golden($timescale 1ns $end
+$scope module trace $end
+$var wire 1 ! vocoder.codec.encoder_task $end
+$var wire 1 " ctl "loop"\main $end
+$upscope $end
+$enddefinitions $end
+#0
+0!
+0"
+#1000
+1!
+#2000
+1"
+#5000
+0!
+#7000
+0"
+)golden");
+    EXPECT_EQ(chrome.str(), R"golden([
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"vocoder.codec.encoder_task"}},
+{"name":"vocoder.codec.encoder_task","ph":"X","pid":1,"tid":1,"ts":1.000,"dur":4.000},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"ctl \"loop\"\\main"}},
+{"name":"ctl \"loop\"\\main","ph":"X","pid":1,"tid":2,"ts":2.000,"dur":5.000},
+{"name":"irq:audio_subframe_irq","ph":"i","pid":1,"tid":0,"ts":3.000,"s":"g"}
+]
+)golden");
+    EXPECT_EQ(rec.render_gantt(SimTime::zero(), 8_us, 32), R"golden(vocoder.codec.encoder_task |....################............|
+ctl "loop"\main            |........####################....|
+irq                                     ^                   
+time                        0 ns .. 8 us
+)golden");
+    EXPECT_EQ(rec.utilization_report(SimTime::zero(), 8_us), R"golden(actor                       busy        util    intervals
+vocoder.codec.encoder_task  4 us         50.0%          1
+ctl "loop"\main             5 us         62.5%          1
+)golden");
 }
