@@ -201,16 +201,23 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 /// Walk the wait-for graph of the watched mutexes (task --waits-on--> mutex
 /// --held-by--> task) and render the first cycle found, e.g.
 /// "taskA -> m2 (held by taskB) -> m1 (held by taskA)". Empty if acyclic.
+/// Walks start from the blocked tasks in the reverse of watch() order, each
+/// mutex's waiters() taken in reverse queue order, so the text depends on the
+/// build alone and never on where the heap put the tasks. (The reverse order
+/// keeps the rendering two-task cycles have always had.)
 std::string describe_mutex_cycle(const std::vector<rtos::OsMutex*>& mutexes) {
+    std::vector<const rtos::Task*> starts;
     std::unordered_map<const rtos::Task*, const rtos::OsMutex*> waits_on;
     for (const rtos::OsMutex* m : mutexes) {
         for (const rtos::Task* t : m->waiters()) {
-            waits_on.emplace(t, m);
+            if (waits_on.emplace(t, m).second) {
+                starts.push_back(t);
+            }
         }
     }
-    for (const auto& [start, unused] : waits_on) {
+    for (auto start = starts.rbegin(); start != starts.rend(); ++start) {
         std::unordered_set<const rtos::Task*> seen;
-        const rtos::Task* t = start;
+        const rtos::Task* t = *start;
         while (t != nullptr) {
             const auto it = waits_on.find(t);
             if (it == waits_on.end()) {
@@ -286,6 +293,7 @@ public:
     }
 
     [[nodiscard]] const std::vector<Decision>& decisions() const { return decisions_; }
+    [[nodiscard]] std::vector<Decision> take_decisions() { return std::move(decisions_); }
     [[nodiscard]] bool truncated() const { return truncated_; }
     [[nodiscard]] bool diverged() const { return diverged_; }
     /// Diagnostic for the first out-of-range plan entry, e.g.
@@ -319,13 +327,13 @@ private:
 // ---- one path ----
 
 PathResult Explorer::run_path(const std::vector<std::uint32_t>* plan, bool random,
-                              std::uint64_t rng_seed,
+                              std::uint64_t rng_seed, bool markers,
                               std::vector<Decision>* decisions_out,
                               ExploreStats* stats,
                               std::string* divergence_detail_out) {
     Run run(cfg_.kernel);
     Controller ctl(plan, random, cfg_.preemption_bound, cfg_.max_choices_per_run,
-                   rng_seed, cfg_.record_choices ? &run.trace_ : nullptr);
+                   rng_seed, markers ? &run.trace_ : nullptr);
     run.kernel_.set_schedule_controller(&ctl);
     AssertScope assert_scope;
 
@@ -370,7 +378,7 @@ PathResult Explorer::run_path(const std::vector<std::uint32_t>* plan, bool rando
         }
     }
     if (decisions_out != nullptr) {
-        *decisions_out = ctl.decisions();
+        *decisions_out = ctl.take_decisions();
     }
     pr.trace = std::move(run.trace_);
     return pr;
@@ -476,16 +484,15 @@ ExploreResult Explorer::explore() {
         if (res.stats.paths >= cfg_.max_paths) {
             break;  // budget exhausted, space not necessarily covered
         }
-        PathResult pr = run_path(&plan, /*random=*/false, 0, &decisions,
-                                 &res.stats);
-        const bool failed = !pr.violations.empty();
+        PathResult pr = run_path(&plan, /*random=*/false, 0, /*markers=*/false,
+                                 &decisions, &res.stats);
+        if (!pr.violations.empty() && !res.first_failure.has_value()) {
+            res.first_failure = replay(pr.schedule);
+        }
         for (Violation& v : pr.violations) {
             if (res.violations.size() < cfg_.max_violations) {
-                res.violations.push_back(v);
+                res.violations.push_back(std::move(v));
             }
-        }
-        if (failed && !res.first_failure.has_value()) {
-            res.first_failure = std::move(pr);
         }
         if (res.violations.size() >= cfg_.max_violations) {
             break;
@@ -505,18 +512,17 @@ ExploreResult Explorer::random_walks(std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t stream = cfg_.seed + i;
         const std::uint64_t rng_seed = splitmix64(stream);
-        PathResult pr = run_path(nullptr, /*random=*/true, rng_seed, nullptr,
-                                 &res.stats);
-        const bool failed = !pr.violations.empty();
+        PathResult pr = run_path(nullptr, /*random=*/true, rng_seed,
+                                 /*markers=*/false, nullptr, &res.stats);
+        if (!pr.violations.empty() && !res.first_failure.has_value()) {
+            res.first_failure = replay(pr.schedule);
+        }
         for (Violation& v : pr.violations) {
             if (res.violations.size() < cfg_.max_violations &&
                 reported.insert(std::string(to_string(v.kind)) + '@' +
                                 v.schedule.to_string()).second) {
-                res.violations.push_back(v);
+                res.violations.push_back(std::move(v));
             }
-        }
-        if (failed && !res.first_failure.has_value()) {
-            res.first_failure = std::move(pr);
         }
         if (res.violations.size() >= cfg_.max_violations) {
             break;
@@ -526,12 +532,13 @@ ExploreResult Explorer::random_walks(std::uint64_t n) {
 }
 
 PathResult Explorer::replay(const Schedule& s) {
-    return run_path(&s.choices, /*random=*/false, 0, nullptr, nullptr);
+    return run_path(&s.choices, /*random=*/false, 0, /*markers=*/true, nullptr, nullptr);
 }
 
 Explorer::Expansion Explorer::expand(const std::vector<std::uint32_t>& plan) {
     Expansion e;
-    e.path = run_path(&plan, /*random=*/false, 0, &e.decisions, nullptr);
+    e.path = run_path(&plan, /*random=*/false, 0, /*markers=*/false, &e.decisions,
+                      nullptr);
     return e;
 }
 
@@ -544,8 +551,8 @@ Explorer::ReplayOutcome Explorer::replay_trace(const std::string& trace) {
         return out;  // nothing was run
     }
     std::string divergence;
-    out.result = run_path(&s->choices, /*random=*/false, 0, nullptr, nullptr,
-                          &divergence);
+    out.result = run_path(&s->choices, /*random=*/false, 0, /*markers=*/true, nullptr,
+                          nullptr, &divergence);
     if (!divergence.empty()) {
         out.error = "decision trace does not fit this model at " + divergence +
                     "; replayed path diverged to the default choice there";

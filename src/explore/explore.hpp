@@ -107,9 +107,6 @@ struct ExploreConfig {
     bool check_deadline_misses = false;
     /// Seed for random_walks(); walk i uses a stream derived from seed + i.
     std::uint64_t seed = 1;
-    /// Record a trace::Marker per decision into the run's trace, so a failing
-    /// schedule's Gantt chart shows where the explorer steered.
-    bool record_choices = true;
     /// Stop after collecting this many violations.
     std::size_t max_violations = 16;
     /// Kernel construction parameters for each per-path kernel.
@@ -134,8 +131,10 @@ public:
     [[nodiscard]] sim::Kernel& kernel() { return kernel_; }
 
     /// The run's trace sink. Pass as RtosConfig::tracer to get task states
-    /// and context switches into failure reports; decision markers land here
-    /// when ExploreConfig::record_choices is set.
+    /// and context switches into failure reports. On replayed paths
+    /// (Explorer::replay(), replay_trace(), and so every first_failure) a
+    /// trace::Marker per decision lands here too, showing where the explorer
+    /// steered; explored paths record none.
     [[nodiscard]] trace::TraceRecorder& trace() { return trace_; }
 
     /// Construct an object owned by this Run (destroyed before the kernel,
@@ -207,7 +206,8 @@ struct PathResult {
 struct ExploreResult {
     ExploreStats stats;
     std::vector<Violation> violations;
-    /// First failing path with its full trace, for immediate Gantt dumps.
+    /// First failing path with its full trace, for immediate Gantt dumps:
+    /// always replay() of that path's schedule, so decision markers included.
     std::optional<PathResult> first_failure;
     /// True when bounded DFS ran out of schedules to try: every interleaving
     /// within the preemption bound was visited (full coverage if
@@ -257,8 +257,9 @@ public:
     /// enumerate; deterministic per ExploreConfig::seed.
     [[nodiscard]] ExploreResult random_walks(std::uint64_t n);
 
-    /// Re-run one schedule exactly. Identical builds yield byte-for-byte
-    /// identical traces (tests/test_explore.cpp locks this in).
+    /// Re-run one schedule exactly, recording a decision marker per choice
+    /// point. Identical builds yield byte-for-byte identical traces
+    /// (tests/test_explore.cpp locks this in).
     [[nodiscard]] PathResult replay(const Schedule& s);
 
     /// Outcome of replay_trace(): either a PathResult or a diagnostic. Never
@@ -303,14 +304,15 @@ public:
     /// default choices. This is the primitive the parallel engine shards
     /// across workers — each worker owns a private Explorer and expands the
     /// plan prefixes it claims. An empty plan runs the all-default schedule.
+    /// Records no decision markers: replay() the schedule for a marked trace.
     [[nodiscard]] Expansion expand(const std::vector<std::uint32_t>& plan);
 
 private:
     class Controller;
 
     PathResult run_path(const std::vector<std::uint32_t>* plan, bool random,
-                        std::uint64_t rng_seed, std::vector<Decision>* decisions_out,
-                        ExploreStats* stats,
+                        std::uint64_t rng_seed, bool markers,
+                        std::vector<Decision>* decisions_out, ExploreStats* stats,
                         std::string* divergence_detail_out = nullptr);
     void check_path(Run& run, PathResult& pr,
                     const std::optional<std::string>& abort_reason) const;

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -96,7 +95,7 @@ unsigned resolve_jobs(unsigned requested) {
 }
 
 /// One failing path, trace-free: enough to merge the violation list and to
-/// identify (and if necessary re-simulate) the first failure.
+/// identify (and re-simulate) the first failure.
 struct FailRecord {
     std::vector<std::uint32_t> choices;
     std::vector<explore::Violation> violations;
@@ -107,9 +106,6 @@ struct ExploreWorker {
     WorkDeque<std::vector<std::uint32_t>> deque;
     explore::ExploreStats stats;
     std::vector<FailRecord> fails;
-    /// Lexicographically smallest failing path this worker simulated *live*
-    /// (cache hits carry no trace, so they are never kept here).
-    std::optional<explore::PathResult> min_fail;
     std::uint64_t executed = 0;
     std::uint64_t stolen = 0;
     std::uint64_t cache_hits = 0;
@@ -212,16 +208,11 @@ private:
         if (!from_cache) {
             explore::Explorer::Expansion e = ex.expand(plan);
             ce.decisions = std::move(e.decisions);
-            ce.violations = e.path.violations;
+            ce.violations = std::move(e.path.violations);
             ce.end_time = e.path.end_time;
             ce.more_timed = e.path.more_timed;
             ce.truncated = e.path.truncated;
             ce.diverged = e.path.diverged;
-            if (!e.path.violations.empty() &&
-                (!w.min_fail.has_value() ||
-                 e.path.schedule.choices < w.min_fail->schedule.choices)) {
-                w.min_fail = std::move(e.path);
-            }
             if (pcfg_.cache != nullptr) {
                 pcfg_.cache->store(key, ce);
             }
@@ -321,24 +312,13 @@ private:
         }
 
         if (!fails.empty()) {
-            const std::vector<std::uint32_t>& first = fails.front()->choices;
-            for (auto& w : workers_) {
-                if (w->min_fail.has_value() &&
-                    w->min_fail->schedule.choices == first) {
-                    res.first_failure = std::move(w->min_fail);
-                    break;
-                }
-            }
-            if (!res.first_failure.has_value()) {
-                // The first failure was served from the cache (trace-free):
-                // re-simulate it. Replay is deterministic, so the regenerated
-                // trace is byte-identical to what a cold run produced.
-                ++first_failure_replays_;
-                explore::Explorer ex(build_, cfg_);
-                explore::Schedule s;
-                s.choices = first;
-                res.first_failure = ex.replay(s);
-            }
+            // Workers keep no traces, live or cached: re-simulate the first
+            // failure exactly as serial explore() does. Replay is
+            // deterministic, so its trace does not depend on which worker
+            // found the path or whether the cache served it.
+            ++first_failure_replays_;
+            res.first_failure =
+                explore::Explorer(build_, cfg_).replay({fails.front()->choices});
         }
         return res;
     }
@@ -611,7 +591,7 @@ void register_parallel_stats(obs::Registry& reg, const ParallelStats& s,
     gauge("slm_parallel_cache_misses_total", "Result-cache misses",
           [](const ParallelStats& st) { return static_cast<double>(st.cache_misses); });
     gauge("slm_parallel_first_failure_replays_total",
-          "Cached first failures re-simulated for their trace",
+          "First failures re-simulated for their trace (1 per failing exploration)",
           [](const ParallelStats& st) {
               return static_cast<double>(st.first_failure_replays);
           });

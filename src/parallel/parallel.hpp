@@ -43,7 +43,9 @@ struct ParallelStats {
     std::uint64_t tasks_stolen = 0;    ///< items taken from another worker's deque
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t first_failure_replays = 0;  ///< cached failure re-simulated
+    /// First failures re-simulated for their trace: 1 per exploration that
+    /// found a violation, whether the cache served the path or not.
+    std::uint64_t first_failure_replays = 0;
     std::uint64_t busy_ns = 0;  ///< summed per-worker time spent processing items
     std::uint64_t wall_ns = 0;  ///< pool wall-clock time
 

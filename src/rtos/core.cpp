@@ -173,14 +173,13 @@ Task* OsCore::pick_next() {
     if (ties_scratch_.size() < 2) {
         return ready_->pop();
     }
-    sim::SchedulePoint pt;
-    pt.kind = sim::SchedulePoint::Kind::TaskDispatch;
-    pt.now = kernel_.now();
-    pt.candidates.reserve(ties_scratch_.size());
-    for (const Task* t : ties_scratch_) {
-        pt.candidates.push_back(t->params_.name);
+    point_scratch_.kind = sim::SchedulePoint::Kind::TaskDispatch;
+    point_scratch_.now = kernel_.now();
+    point_scratch_.candidates.resize(ties_scratch_.size());
+    for (std::size_t i = 0; i < ties_scratch_.size(); ++i) {
+        point_scratch_.candidates[i] = ties_scratch_[i]->params_.name;
     }
-    const std::size_t choice = ctl->choose(pt);
+    const std::size_t choice = ctl->choose(point_scratch_);
     SLM_ASSERT(choice < ties_scratch_.size(),
                "ScheduleController returned an out-of-range choice");
     Task* chosen = ties_scratch_[choice];

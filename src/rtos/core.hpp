@@ -594,7 +594,9 @@ private:
     bool started_ = false;
     std::uint64_t arrival_counter_ = 0;
     SimTime quantum_used_{};
-    std::vector<Task*> ties_scratch_;  ///< reused by pick_next()
+    // Reused by pick_next(), so a choice point allocates nothing.
+    std::vector<Task*> ties_scratch_;
+    sim::SchedulePoint point_scratch_;
     std::vector<OsObserver*> observers_;
     std::vector<std::pair<std::uint64_t, std::function<void(Task*)>>> cleanup_hooks_;
     std::uint64_t next_cleanup_id_ = 1;

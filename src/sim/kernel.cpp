@@ -98,29 +98,31 @@ void Kernel::consult_controller() {
     // Surface a DeltaOrder choice point: which of the currently runnable
     // processes executes next. candidates[0] is the FIFO front, so a
     // controller answering 0 leaves the deterministic order untouched.
-    std::vector<std::size_t> live;
-    for (std::size_t i = 0; i < runnable_.size(); ++i) {
-        if (!runnable_[i]->done()) {
-            live.push_back(i);
-        }
-    }
-    if (live.size() < 2) {
+    // Most calls see fewer than two live processes; they return before
+    // touching the reused point.
+    const auto live = static_cast<std::size_t>(std::count_if(
+        runnable_.begin(), runnable_.end(), [](const Process* p) { return !p->done(); }));
+    if (live < 2) {
         return;
     }
-    SchedulePoint pt;
-    pt.kind = SchedulePoint::Kind::DeltaOrder;
-    pt.now = now_;
-    pt.candidates.reserve(live.size());
-    for (const std::size_t i : live) {
-        pt.candidates.push_back(runnable_[i]->name());
+    point_.now = now_;
+    point_.candidates.resize(live);
+    auto name = point_.candidates.begin();
+    for (const Process* p : runnable_) {
+        if (!p->done()) {
+            *name++ = p->name();
+        }
     }
-    const std::size_t choice = controller_->choose(pt);
-    SLM_ASSERT(choice < live.size(),
-               "ScheduleController returned an out-of-range choice");
+    std::size_t choice = controller_->choose(point_);
+    SLM_ASSERT(choice < live, "ScheduleController returned an out-of-range choice");
     if (choice != 0) {
-        Process* chosen = runnable_[live[choice]];
-        runnable_.erase(runnable_.begin() +
-                        static_cast<std::ptrdiff_t>(live[choice]));
+        // The choice-th live entry (done processes are not candidates).
+        const auto it = std::find_if(runnable_.begin(), runnable_.end(),
+                                     [&choice](const Process* p) {
+                                         return !p->done() && choice-- == 0;
+                                     });
+        Process* chosen = *it;
+        runnable_.erase(it);
         runnable_.push_front(chosen);
     }
 }

@@ -261,6 +261,7 @@ private:
     Process* current_ = nullptr;
     std::vector<KernelObserver*> observers_;
     ScheduleController* controller_ = nullptr;
+    SchedulePoint point_;  ///< reused by consult_controller()
     std::optional<std::string> abort_reason_;
     bool running_ = false;
     std::uint64_t seq_counter_ = 0;

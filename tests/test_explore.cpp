@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/analysis.hpp"
 #include "rtos/os_channels.hpp"
 #include "rtos/rtos.hpp"
 #include "sim/kernel.hpp"
+#include "sim/schedule_point.hpp"
 #include "sim/time.hpp"
+#include "trace/trace.hpp"
 
 using namespace slm;
 using namespace slm::time_literals;
@@ -54,9 +58,9 @@ void build_crossed(explore::Run& run, bool fixed_lock_order) {
     os.start();
 }
 
-void build_three_tasks(explore::Run& run) {
+void build_three_tasks(explore::Run& run, bool traced = true) {
     rtos::RtosConfig cfg;
-    cfg.tracer = &run.trace();
+    cfg.tracer = traced ? &run.trace() : nullptr;
     auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
     os.init();
     for (const char* name : {"t0", "t1", "t2"}) {
@@ -70,11 +74,69 @@ void build_three_tasks(explore::Run& run) {
     os.start();
 }
 
+/// N equal-priority tasks in a ring: task i holds m<i>, sleeps, then wants
+/// m<i+1>. The default schedule deadlocks with every task in the cycle.
+void build_ring(explore::Run& run, int n) {
+    auto& os = run.make<rtos::RtosModel>(run.kernel(), rtos::RtosConfig{});
+    os.init();
+    std::vector<rtos::OsMutex*> m;
+    for (int i = 0; i < n; ++i) {
+        m.push_back(&run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None,
+                                             "m" + std::to_string(i)));
+    }
+    for (int i = 0; i < n; ++i) {
+        const std::string name = "t" + std::to_string(i);
+        rtos::Task* t = os.task_create(name, rtos::TaskType::Aperiodic, {}, {}, 1);
+        run.kernel().spawn(name, [&os, t, own = m[i], next = m[(i + 1) % n]] {
+            os.task_activate(t);
+            own->lock();
+            os.task_delay(1_ms);
+            next->lock();
+        });
+    }
+    os.start();
+}
+
 std::string csv_of(const trace::TraceRecorder& rec) {
     std::ostringstream os;
     rec.write_csv(os);
     return os.str();
 }
+
+/// first_failure must be exactly replay() of its schedule: same trace bytes
+/// (decision markers included) and the same violations.
+void expect_first_failure_is_replay(explore::Explorer& ex,
+                                    const explore::ExploreResult& res) {
+    ASSERT_TRUE(res.first_failure.has_value());
+    const explore::PathResult& ff = *res.first_failure;
+    const explore::PathResult replayed = ex.replay(ff.schedule);
+    EXPECT_EQ(csv_of(ff.trace), csv_of(replayed.trace));
+    EXPECT_EQ(ff.trace.count(trace::RecordKind::Marker), ff.schedule.choices.size());
+    ASSERT_EQ(ff.violations.size(), replayed.violations.size());
+    for (std::size_t i = 0; i < ff.violations.size(); ++i) {
+        EXPECT_EQ(ff.violations[i].kind, replayed.violations[i].kind);
+        EXPECT_EQ(ff.violations[i].detail, replayed.violations[i].detail);
+        EXPECT_EQ(ff.violations[i].schedule, replayed.violations[i].schedule);
+        EXPECT_EQ(ff.violations[i].time, replayed.violations[i].time);
+    }
+}
+
+/// Records every choice point it is offered as "kind@t_ns:cand,...->choice"
+/// and steers round-robin (the k-th point takes candidate k % count).
+class RecordingController final : public sim::ScheduleController {
+public:
+    std::size_t choose(const sim::SchedulePoint& pt) override {
+        const std::size_t choice = seen.size() % pt.candidates.size();
+        std::string s = std::string(sim::to_string(pt.kind)) + '@' +
+                        std::to_string(pt.now.ns()) + ':';
+        for (std::size_t i = 0; i < pt.candidates.size(); ++i) {
+            s += (i == 0 ? "" : ",") + pt.candidates[i];
+        }
+        seen.push_back(s + "->" + std::to_string(choice));
+        return choice;
+    }
+    std::vector<std::string> seen;
+};
 
 }  // namespace
 
@@ -126,7 +188,7 @@ TEST(Schedule, ParseReportsWhatIsWrong) {
 // ---- serialized-trace replay: negative paths ----
 
 TEST(Explorer, ReplayTraceRejectsMalformedInput) {
-    explore::Explorer ex{build_three_tasks};
+    explore::Explorer ex{[](explore::Run& r) { build_three_tasks(r); }};
     const auto out = ex.replay_trace("not-a-trace");
     EXPECT_FALSE(out.ok());
     EXPECT_FALSE(out.result.has_value());  // malformed input: nothing was run
@@ -135,7 +197,7 @@ TEST(Explorer, ReplayTraceRejectsMalformedInput) {
 }
 
 TEST(Explorer, ReplayTraceRejectsTruncatedInput) {
-    explore::Explorer ex{build_three_tasks};
+    explore::Explorer ex{[](explore::Run& r) { build_three_tasks(r); }};
     const auto out = ex.replay_trace("4|2:");  // cut off mid-entry
     EXPECT_FALSE(out.ok());
     EXPECT_FALSE(out.result.has_value());
@@ -146,7 +208,7 @@ TEST(Explorer, ReplayTraceRejectsTruncatedInput) {
 TEST(Explorer, ReplayTraceReportsOutOfRangeChoice) {
     // "4|1:7" parses, but no dispatch tie among three tasks ever has seven
     // candidates: the run degrades to the default at point 1 and says so.
-    explore::Explorer ex{build_three_tasks};
+    explore::Explorer ex{[](explore::Run& r) { build_three_tasks(r); }};
     const auto out = ex.replay_trace("4|1:7");
     EXPECT_FALSE(out.ok());
     ASSERT_TRUE(out.result.has_value());  // the run still happened...
@@ -156,7 +218,7 @@ TEST(Explorer, ReplayTraceReportsOutOfRangeChoice) {
 }
 
 TEST(Explorer, ReplayTraceRoundTripsCleanly) {
-    explore::Explorer ex{build_three_tasks};
+    explore::Explorer ex{[](explore::Run& r) { build_three_tasks(r); }};
     auto base = ex.replay(explore::Schedule{});
     const auto out = ex.replay_trace(base.schedule.to_string());
     ASSERT_TRUE(out.ok()) << out.error;
@@ -217,6 +279,33 @@ TEST(Explorer, RandomWalksFindTheSameDeadlock) {
     EXPECT_EQ(res.violations.front().kind, explore::Violation::Kind::Deadlock);
 }
 
+TEST(Explorer, DeadlockTextIndependentOfHeapLayout) {
+    // The cycle text must not follow Task addresses: junk allocations shift
+    // where each build's tasks land, and the replayed first failure is built
+    // on a different heap than the explored path it reproduces.
+    explore::ExploreConfig cfg;
+    cfg.preemption_bound = 0;
+    explore::Explorer ex{[](explore::Run& r) { build_ring(r, 20); }, cfg};
+    std::vector<std::unique_ptr<char[]>> junk;
+    std::string expected;
+    for (int layout = 0; layout < 16; ++layout) {
+        for (int j = 0; j < 3 * layout; ++j) {
+            junk.emplace_back(new char[16 + (j * 97 + layout * 31) % 700]);
+        }
+        const auto res = ex.explore();
+        ASSERT_FALSE(res.violations.empty());
+        ASSERT_TRUE(res.first_failure.has_value());
+        const std::string& text = res.violations.front().detail;
+        if (expected.empty()) {
+            expected = text;
+        }
+        EXPECT_EQ(text, expected) << "layout " << layout;
+        EXPECT_EQ(res.first_failure->violations.front().detail, text);
+    }
+    EXPECT_EQ(expected.rfind("cyclic mutex wait: t18 -> m19 (held by t19) -> ", 0), 0u)
+        << expected;
+}
+
 // ---- determinism and replay ----
 
 TEST(Explorer, SamePriorityTieBreakIsDeterministic) {
@@ -245,6 +334,42 @@ TEST(Explorer, ReplayReproducesTraceByteForByte) {
               res.first_failure->violations.front().kind);
     EXPECT_EQ(replayed.schedule, res.first_failure->schedule);
     EXPECT_EQ(csv_of(replayed.trace), csv_of(res.first_failure->trace));
+}
+
+TEST(Explorer, FirstFailureIsTheReplayOfItsSchedule) {
+    explore::ExploreConfig cfg;
+    cfg.preemption_bound = 1;
+    cfg.seed = 7;
+    explore::Explorer ex{[](explore::Run& r) { build_crossed(r, false); }, cfg};
+    expect_first_failure_is_replay(ex, ex.explore());
+    expect_first_failure_is_replay(ex, ex.random_walks(32));
+}
+
+TEST(Explorer, ExpandRecordsNoMarkersReplayOnePerDecision) {
+    explore::Explorer ex{[](explore::Run& r) { build_three_tasks(r, false); }};
+    const explore::Explorer::Expansion e = ex.expand({1});
+    ASSERT_FALSE(e.decisions.empty());
+    EXPECT_EQ(e.path.trace.size(), 0u);
+    const explore::PathResult replayed = ex.replay(e.path.schedule);
+    EXPECT_EQ(replayed.trace.size(), e.decisions.size());
+    EXPECT_EQ(replayed.trace.count(trace::RecordKind::Marker), e.decisions.size());
+}
+
+TEST(Explorer, ChoicePointsOfferedMatchGolden) {
+    // What the kernel (delta_order) and the RTOS (task_dispatch) offer a
+    // controller, and how each applies a non-default answer, pinned
+    // point by point.
+    RecordingController rec;
+    explore::Run run{sim::KernelConfig{}};
+    run.kernel().set_schedule_controller(&rec);
+    build_three_tasks(run);
+    run.kernel().run();
+    const std::vector<std::string> golden = {
+        "delta_order@0:t0,t1,t2->0",    "delta_order@0:t1,t2->1",
+        "delta_order@0:t0,t2,t1->2",    "task_dispatch@0:t0,t2,t1->0",
+        "delta_order@0:t0,t2->0",       "task_dispatch@1000000:t2,t1->1",
+    };
+    EXPECT_EQ(rec.seen, golden);
 }
 
 TEST(Explorer, ReplayFromParsedStringMatches) {

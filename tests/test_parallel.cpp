@@ -35,6 +35,12 @@ std::string result_json(const explore::ExploreResult& res) {
     return std::move(os).str();
 }
 
+std::string csv_of(const trace::TraceRecorder& rec) {
+    std::ostringstream os;
+    rec.write_csv(os);
+    return std::move(os).str();
+}
+
 std::string campaign_json(const fault::CampaignResult& res) {
     std::ostringstream os;
     fault::write_campaign_json(os, res);
@@ -315,6 +321,7 @@ TEST(ParallelCache, WarmRerunHitsEverythingAndStaysByteIdentical) {
     EXPECT_EQ(first, serial);
     EXPECT_EQ(cold.cache_hits, 0U);
     EXPECT_EQ(cold.cache_misses, cold.tasks_executed);
+    EXPECT_EQ(cold.first_failure_replays, 1U);
 
     parallel::ParallelStats warm;
     const std::string second =
@@ -323,6 +330,29 @@ TEST(ParallelCache, WarmRerunHitsEverythingAndStaysByteIdentical) {
     EXPECT_EQ(warm.cache_misses, 0U);
     EXPECT_EQ(warm.cache_hits, warm.tasks_executed);
     EXPECT_EQ(warm.first_failure_replays, 1U);
+}
+
+TEST(ParallelCache, FirstFailureIsTheReplayOfItsScheduleColdAndWarm) {
+    explore::ExploreConfig cfg;
+    cfg.preemption_bound = 1;
+    explore::Explorer ex{build_crossed, cfg};
+    parallel::ResultCache cache;
+    for (const char* run : {"cold", "warm"}) {
+        parallel::ParallelStats st;
+        const auto res = parallel_explore(build_crossed, cfg, 2, &cache, "m1", &st);
+        ASSERT_TRUE(res.first_failure.has_value()) << run;
+        const explore::PathResult& ff = *res.first_failure;
+        const explore::PathResult replayed = ex.replay(ff.schedule);
+        EXPECT_EQ(ff.schedule, res.violations.front().schedule) << run;
+        EXPECT_EQ(csv_of(ff.trace), csv_of(replayed.trace)) << run;
+        ASSERT_EQ(ff.violations.size(), replayed.violations.size()) << run;
+        for (std::size_t i = 0; i < ff.violations.size(); ++i) {
+            EXPECT_EQ(ff.violations[i].kind, replayed.violations[i].kind) << run;
+            EXPECT_EQ(ff.violations[i].detail, replayed.violations[i].detail) << run;
+            EXPECT_EQ(ff.violations[i].time, replayed.violations[i].time) << run;
+        }
+        EXPECT_EQ(st.first_failure_replays, 1U) << run;
+    }
 }
 
 TEST(ParallelCache, StaleModelFingerprintMustMiss) {

@@ -90,6 +90,50 @@ TEST(Kernel, SimultaneousTimeoutsFireInScheduleOrder) {
     EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(Kernel, ScheduleControllerSeesGoldenChoicePoints) {
+    // Every delta-order choice point offered (live runnables only, FIFO
+    // front first) and the order a round-robin answer produces, pinned
+    // against the golden list.
+    struct Recorder final : ScheduleController {
+        std::size_t choose(const SchedulePoint& pt) override {
+            const std::size_t choice = seen.size() % pt.candidates.size();
+            std::string s = std::string(to_string(pt.kind)) + '@' +
+                            std::to_string(pt.now.ns()) + ':';
+            for (std::size_t i = 0; i < pt.candidates.size(); ++i) {
+                s += (i == 0 ? "" : ",") + pt.candidates[i];
+            }
+            seen.push_back(s + "->" + std::to_string(choice));
+            return choice;
+        }
+        std::vector<std::string> seen;
+    } rec;
+    Kernel k;
+    k.set_schedule_controller(&rec);
+    std::vector<std::string> order;
+    Event e{k, "e"};
+    for (const char* name : {"a", "b", "c"}) {
+        k.spawn(name, [&k, &order, &e, name] {
+            k.waitfor(5_us);
+            order.push_back(std::string(name) + "0");
+            k.wait(e);
+            order.push_back(std::string(name) + "1");
+        });
+    }
+    k.spawn("n", [&k, &e] {
+        k.waitfor(5_us);
+        k.notify(e);
+    });
+    k.run();
+    const std::vector<std::string> golden = {
+        "delta_order@0:a,b,c,n->0",    "delta_order@0:b,c,n->1",
+        "delta_order@0:b,n->0",        "delta_order@5000:a,c,b,n->3",
+        "delta_order@5000:a,c,b->1",   "delta_order@5000:a,b->1",
+        "delta_order@5000:c,b,a->0",   "delta_order@5000:b,a->1",
+    };
+    EXPECT_EQ(rec.seen, golden);
+    EXPECT_EQ(order, (std::vector<std::string>{"c0", "b0", "a0", "c1", "a1", "b1"}));
+}
+
 TEST(Kernel, NotifyWakesWaiter) {
     Kernel k;
     Event e{k, "e"};
