@@ -14,18 +14,23 @@
 //   warm_speedup_20x  warm-cache explore >= 20x serial, full mode only
 //                     (smoke workloads are too small to amortize the fixed
 //                     pool startup cost, so smoke reports the number
-//                     without gating on it).
+//                     without gating on it). A warm run takes well under a
+//                     millisecond, so the gate reads median(serial) /
+//                     median(warm) over kTimedRuns runs of each, not one
+//                     timing of each.
 //
 // Usage: bench_parallel [--smoke] [--out FILE]
 //   --smoke   tiny workloads for CI (milliseconds)
 //   --out     output path (default: BENCH_parallel.json in the CWD)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "explore/explore.hpp"
 #include "fault/campaign.hpp"
@@ -44,6 +49,24 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/// Runs per median-timed configuration (serial and warm explore).
+constexpr int kTimedRuns = 7;
+
+/// Median wall time of kTimedRuns calls of `run`. Every call's JSON must equal
+/// `expect`; `identical` is cleared otherwise.
+template <typename Fn>
+double median_ms(const std::string& expect, bool& identical, Fn&& run) {
+    std::vector<double> ms;
+    for (int i = 0; i < kTimedRuns; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::string json = run();
+        ms.push_back(elapsed_ms(t0));
+        identical = identical && json == expect;
+    }
+    std::nth_element(ms.begin(), ms.begin() + kTimedRuns / 2, ms.end());
+    return ms[kTimedRuns / 2];
 }
 
 /// Equal-priority task set with simultaneous wakeups: every task sleeps to
@@ -93,8 +116,8 @@ fault::CampaignRun run_campaign_model(fault::FaultInjector& inj,
     trace::TraceRecorder rec;
     rtos::RtosConfig rc;
     rc.cpu_name = "CPU0";
-    rc.tracer = &rec;
     rtos::RtosModel os(k, rc);
+    trace::RtosTraceAdapter tracer{os, rec};
     os.init();
     inj.attach(os);
     for (const char* name : {"sense", "plan", "act"}) {
@@ -157,10 +180,13 @@ int main(int argc, char** argv) {
     cfg.max_paths = smoke ? 2'000 : 20'000;
     const explore::Explorer::BuildFn build = make_bench_build(tasks, slices);
 
-    std::fprintf(stderr, "bench_parallel: explore serial...\n");
-    auto t0 = std::chrono::steady_clock::now();
-    const std::string serial = result_json(explore::Explorer{build, cfg}.explore());
-    const double serial_ms = elapsed_ms(t0);
+    std::fprintf(stderr, "bench_parallel: explore serial (%d runs)...\n", kTimedRuns);
+    const auto run_serial = [&] {
+        return result_json(explore::Explorer{build, cfg}.explore());
+    };
+    const std::string serial = run_serial();
+    bool explore_identical = true;
+    const double serial_ms = median_ms(serial, explore_identical, run_serial);
 
     std::fprintf(stderr, "bench_parallel: explore parallel cold (%u jobs)...\n",
                  jobs);
@@ -170,19 +196,20 @@ int main(int argc, char** argv) {
     pc.cache = &cache;
     pc.model_fingerprint = "bench-explore-v1";
     parallel::ParallelStats cold;
-    t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
     const std::string cold_json = result_json(parallel::explore(build, cfg, pc, &cold));
     const double cold_ms = elapsed_ms(t0);
+    explore_identical = explore_identical && cold_json == serial;
 
-    std::fprintf(stderr, "bench_parallel: explore parallel warm (cached)...\n");
+    std::fprintf(stderr, "bench_parallel: explore parallel warm (cached, %d runs)...\n",
+                 kTimedRuns);
     parallel::ParallelStats warm;
-    t0 = std::chrono::steady_clock::now();
-    const std::string warm_json = result_json(parallel::explore(build, cfg, pc, &warm));
-    const double warm_ms = elapsed_ms(t0);
+    const double warm_ms = median_ms(serial, explore_identical, [&] {
+        return result_json(parallel::explore(build, cfg, pc, &warm));
+    });
 
     const double cold_speedup = serial_ms / cold_ms;
     const double warm_speedup = serial_ms / warm_ms;
-    const bool explore_identical = cold_json == serial && warm_json == serial;
 
     // ---- campaign ---------------------------------------------------------
     const unsigned sweep_runs = smoke ? 16 : 200;

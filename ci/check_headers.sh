@@ -2,7 +2,8 @@
 # Header self-containment gate: every public header under src/ must compile
 # standalone (a translation unit consisting of just that #include), so the
 # layered includes stay honest — a header silently leaning on something its
-# includer happened to pull in first breaks the next consumer. Registered as
+# includer happened to pull in first breaks the next consumer. It also fails
+# when anything under src/rtos/ depends on src/trace/. Registered as
 # the `check_headers` ctest (see the top-level CMakeLists.txt).
 #
 #   ci/check_headers.sh [--cxx COMPILER]
@@ -30,6 +31,14 @@ for mod in $expected_modules; do
     fail=1
   fi
 done
+
+# Layering guard: the RTOS core knows nothing of tracing. Trace recording
+# attaches through the OsObserver seam (trace::RtosTraceAdapter), so no file
+# under src/rtos/ may include a trace/ header or name the trace:: namespace.
+if grep -rnE '#include[[:space:]]*"trace/|trace::' src/rtos/ >&2; then
+  echo "check_headers: src/rtos/ must not depend on src/trace/ (see above)" >&2
+  fail=1
+fi
 
 checked=0
 while IFS= read -r header; do

@@ -25,9 +25,9 @@ int main() {
     rtos::RtosConfig cfg;
     cfg.policy = rtos::SchedPolicy::Rms;
     cfg.preemption_granularity = 100_us;
-    cfg.tracer = &trace;
     arch::ProcessingElement ecu{kernel, "ECU", cfg};
     rtos::OsCore& os = ecu.os();
+    trace::RtosTraceAdapter tracer{os, trace};
 
     // ---- analytic check before simulating ----
     std::vector<analysis::PeriodicTaskSpec> specs = {

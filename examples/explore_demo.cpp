@@ -41,8 +41,8 @@ namespace {
 void build_crossed(explore::Run& run, bool fixed_lock_order) {
     rtos::RtosConfig cfg;
     cfg.cpu_name = "CPU0";
-    cfg.tracer = &run.trace();
     auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
+    run.make<trace::RtosTraceAdapter>(os, run.trace());
     os.init();
     auto& m1 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m1");
     auto& m2 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m2");

@@ -21,8 +21,8 @@ int main() {
     rtos::RtosConfig cfg;
     cfg.cpu_name = "CPU0";
     cfg.policy = rtos::SchedPolicy::Priority;
-    cfg.tracer = &trace;
     rtos::RtosModel os{kernel, cfg};
+    trace::RtosTraceAdapter tracer{os, trace};
     os.init();
 
     rtos::OsQueue<int> queue{os, 1, "work"};

@@ -13,7 +13,6 @@
 #include "sim/channels.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
-#include "trace/trace.hpp"
 
 namespace slm::arch {
 

@@ -93,8 +93,9 @@ Fig3Result run_fig3_architecture(trace::TraceRecorder* rec, const Fig3Delays& d,
                                  const std::function<void(rtos::OsCore&)>& attach) {
     sim::Kernel k;
     cfg.cpu_name = "PE0";
-    cfg.tracer = rec;
     rtos::RtosModel os{k, cfg};
+    const auto tracer =
+        rec != nullptr ? std::make_unique<trace::RtosTraceAdapter>(os, *rec) : nullptr;
     if (attach) {
         attach(os);
     }

@@ -47,9 +47,9 @@ Fig3Result run_fig3_unscheduled(trace::TraceRecorder* rec, const Fig3Delays& d =
 /// Simulate the architecture model (paper Fig. 3(b) / trace Fig. 8(b)): the
 /// behaviors are refined into tasks on an RTOS model instance; B3 has higher
 /// priority than B2. `cfg` lets callers vary policy / preemption granularity;
-/// cpu name and tracer are set internally. `attach` (optional) is invoked
-/// with the OS core after construction and before any task exists — the hook
-/// for observers such as obs::RtosAnalytics.
+/// the cpu name and the trace adapter into `rec` are set internally. `attach`
+/// (optional) is invoked with the OS core after construction and before any
+/// task exists — the hook for observers such as obs::RtosAnalytics.
 Fig3Result run_fig3_architecture(trace::TraceRecorder* rec, const Fig3Delays& d = {},
                                  rtos::RtosConfig cfg = {},
                                  const std::function<void(rtos::OsCore&)>& attach = {});

@@ -130,8 +130,8 @@ public:
 
     [[nodiscard]] sim::Kernel& kernel() { return kernel_; }
 
-    /// The run's trace sink. Pass as RtosConfig::tracer to get task states
-    /// and context switches into failure reports. On replayed paths
+    /// The run's trace sink. Attach a trace::RtosTraceAdapter to get task
+    /// states and context switches into failure reports. On replayed paths
     /// (Explorer::replay(), replay_trace(), and so every first_failure) a
     /// trace::Marker per decision lands here too, showing where the explorer
     /// steered; explored paths record none.
@@ -234,8 +234,8 @@ void write_result_json(std::ostream& os, const ExploreResult& res);
 /// Everything a Run::make() build touches satisfies this by construction.
 ///
 ///     explore::Explorer ex{[](explore::Run& run) {
-///         auto& os = run.make<rtos::RtosModel>(run.kernel(),
-///                        rtos::RtosConfig{.tracer = &run.trace()});
+///         auto& os = run.make<rtos::RtosModel>(run.kernel());
+///         run.make<trace::RtosTraceAdapter>(os, run.trace());
 ///         ... create tasks/mutexes, os.start() ...
 ///     }};
 ///     auto result = ex.explore();

@@ -85,11 +85,12 @@ void RtosAnalytics::on_task_state(const rtos::Task& t, rtos::TaskState /*from*/,
         w.ready_valid = false;
     }
     dispatches_->inc();
-    if (last_running_ != &t) {
-        switches_->inc();
-    }
-    last_running_ = &t;
     check_inversions(t, now);
+}
+
+void RtosAnalytics::on_context_switch(const rtos::Task& /*to*/,
+                                      const rtos::Task* /*from*/, SimTime /*now*/) {
+    switches_->inc();
 }
 
 void RtosAnalytics::on_preempt(const rtos::Task& preempted, const rtos::Task& /*by*/,
@@ -139,18 +140,11 @@ void RtosAnalytics::on_resource_acquire(const rtos::Task& t,
     blocked_.erase(&t);
 }
 
-void RtosAnalytics::on_resource_release(const rtos::Task& /*t*/,
-                                        const std::string& /*resource*/,
-                                        SimTime /*now*/) {}
-
 void RtosAnalytics::on_task_crash(const rtos::Task& t, SimTime /*now*/) {
     crashes_->inc();
     // The crashed incarnation's waits die with it.
     blocked_.erase(&t);
     windows_.erase(&t);
-    if (last_running_ == &t) {
-        last_running_ = nullptr;
-    }
 }
 
 void RtosAnalytics::on_task_restart(const rtos::Task& t, SimTime /*now*/) {
@@ -159,9 +153,6 @@ void RtosAnalytics::on_task_restart(const rtos::Task& t, SimTime /*now*/) {
     windows_.erase(&t);
     Watch& w = watch(t);
     w.ready_valid = false;  // a fresh incarnation starts with clean transients
-    if (last_running_ == &t) {
-        last_running_ = nullptr;
-    }
 }
 
 void RtosAnalytics::on_watchdog(const rtos::Task& /*t*/, SimTime /*now*/) {

@@ -76,6 +76,8 @@ public:
     // ---- OsObserver ----
     void on_task_state(const rtos::Task& t, rtos::TaskState from, rtos::TaskState to,
                        SimTime now) override;
+    void on_context_switch(const rtos::Task& to, const rtos::Task* from,
+                           SimTime now) override;
     void on_preempt(const rtos::Task& preempted, const rtos::Task& by,
                     SimTime now) override;
     void on_completion(const rtos::Task& t, SimTime response, bool missed,
@@ -85,8 +87,6 @@ public:
                            const std::string& resource, SimTime now) override;
     void on_resource_acquire(const rtos::Task& t, const std::string& resource,
                              SimTime waited, SimTime now) override;
-    void on_resource_release(const rtos::Task& t, const std::string& resource,
-                             SimTime now) override;
     void on_task_crash(const rtos::Task& t, SimTime now) override;
     void on_task_restart(const rtos::Task& t, SimTime now) override;
     void on_watchdog(const rtos::Task& t, SimTime now) override;
@@ -153,7 +153,6 @@ private:
     Counter* crashes_ = nullptr;
     Counter* restarts_ = nullptr;
     Counter* watchdogs_ = nullptr;
-    const rtos::Task* last_running_ = nullptr;
     std::unordered_map<const rtos::Task*, Watch> watches_;
     std::unordered_map<const rtos::Task*, BlockEdge> blocked_;
     std::unordered_map<const rtos::Task*, OpenWindow> windows_;

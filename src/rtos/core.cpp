@@ -128,10 +128,6 @@ void OsCore::set_task_state(Task* t, TaskState s) {
     }
     const TaskState from = t->state_;
     t->state_ = s;
-    if (cfg_.tracer != nullptr) {
-        cfg_.tracer->task_state(kernel_.now(), cfg_.cpu_name, t->params_.name,
-                                to_string(s));
-    }
     for (OsObserver* obs : observers_) {
         obs->on_task_state(*t, from, s, kernel_.now());
     }
@@ -195,10 +191,8 @@ void OsCore::dispatch(Task* t) {
     ++stats_.dispatches;
     if (t != last_dispatched_) {
         ++stats_.context_switches;
-        if (cfg_.tracer != nullptr) {
-            cfg_.tracer->context_switch(
-                kernel_.now(), cfg_.cpu_name, t->params_.name,
-                last_dispatched_ != nullptr ? last_dispatched_->params_.name : "<idle>");
+        for (OsObserver* obs : observers_) {
+            obs->on_context_switch(*t, last_dispatched_, kernel_.now());
         }
         t->switch_cost_due_ = !cfg_.context_switch_overhead.is_zero();
         last_dispatched_ = t;
@@ -791,9 +785,6 @@ void OsCore::task_delay(SimTime dt) {
 
 void OsCore::isr_enter(const std::string& irq_name) {
     ++stats_.isr_entries;
-    if (cfg_.tracer != nullptr) {
-        cfg_.tracer->irq(kernel_.now(), cfg_.cpu_name, irq_name);
-    }
     for (OsObserver* obs : observers_) {
         obs->on_isr(irq_name, kernel_.now());
     }

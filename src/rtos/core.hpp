@@ -13,7 +13,6 @@
 #include "sim/event.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
-#include "trace/trace.hpp"
 
 namespace slm::rtos {
 
@@ -192,6 +191,11 @@ public:
     /// completion passed the absolute deadline.
     virtual void on_completion(const Task& /*t*/, SimTime /*response*/, bool /*missed*/,
                                SimTime /*now*/) {}
+    /// `to` was dispatched and differs from `from`, the task dispatched before
+    /// it (nullptr: none yet, or that task was restarted since) — the one
+    /// definition of a context switch, counted in RtosStats::context_switches.
+    virtual void on_context_switch(const Task& /*to*/, const Task* /*from*/,
+                                   SimTime /*now*/) {}
     /// An ISR body was entered (isr_enter).
     virtual void on_isr(const std::string& /*irq_name*/, SimTime /*now*/) {}
     /// `blocked` is about to wait for a resource (mutex) currently held by
@@ -285,11 +289,6 @@ struct RtosConfig {
     /// I/O) goes through io_wait(), which never scales.
     std::uint32_t speed_num = 1;
     std::uint32_t speed_den = 1;
-    /// Optional trace recorder for task states, context switches, and IRQs
-    /// (derived views, text exporters, SLTB save/load). Online per-task
-    /// analytics do not need a tracer at all — attach an obs::RtosAnalytics
-    /// through OsCore::add_observer() instead.
-    trace::TraceRecorder* tracer = nullptr;
     /// Deadline-miss policy for tasks that do not set TaskParams::miss_policy.
     /// Ignore preserves the pre-recovery behavior exactly.
     MissPolicy default_miss_policy = MissPolicy::Ignore;

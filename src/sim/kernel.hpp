@@ -117,15 +117,6 @@ public:
     /// Processes blocked on events/joins with no pending activity to wake them.
     [[nodiscard]] std::vector<const Process*> blocked_processes() const;
 
-    /// Replace the observer list with `obs` (nullptr clears it). Kept for the
-    /// common one-observer case; instrumentation that must coexist with an
-    /// already-installed observer (tracing + metrics) uses add_observer().
-    void set_observer(KernelObserver* obs) {
-        observers_.clear();
-        if (obs != nullptr) {
-            observers_.push_back(obs);
-        }
-    }
     /// Attach an additional observer; callbacks run in attachment order.
     void add_observer(KernelObserver* obs) {
         if (obs != nullptr) {

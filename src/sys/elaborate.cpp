@@ -38,17 +38,18 @@ System::System(AppSpec app, PlatformSpec platform, MappingSpec mapping, SystemOp
         cfg.context_switch_overhead = ps.context_switch_overhead;
         cfg.speed_num = ps.speed_num;
         cfg.speed_den = ps.speed_den;
-        if (opts_.tracer != nullptr) {
-            cfg.tracer = opts_.tracer;
-        }
         pes_.push_back(
             std::make_unique<arch::ProcessingElement>(kernel_, ps.name, std::move(cfg)));
+        rtos::OsCore& os = pes_.back()->os();
+        if (opts_.tracer != nullptr) {
+            observers_.push_back(
+                std::make_unique<trace::RtosTraceAdapter>(os, *opts_.tracer));
+        }
         if (opts_.on_os) {
-            opts_.on_os(pes_.back()->os());
+            opts_.on_os(os);
         }
         if (opts_.spans != nullptr) {
-            span_tracers_.push_back(
-                std::make_unique<obs::SpanTracer>(pes_.back()->os(), *opts_.spans));
+            observers_.push_back(std::make_unique<obs::SpanTracer>(os, *opts_.spans));
         }
     }
     for (const BusSpec& bs : platform_.buses) {

@@ -101,9 +101,9 @@ using Behavior = std::function<void(TaskCtx&)>;
 struct SystemOptions {
     /// Base RtosConfig for every PE; the PeSpec overrides cpu_name, policy,
     /// context_switch_overhead, and speed_num/speed_den per PE. Quantum,
-    /// preemption granularity, miss policy, and tracer pass through.
+    /// preemption granularity, and miss policy pass through.
     rtos::RtosConfig base_rtos{};
-    /// Trace recorder wired into every PE (overrides base_rtos.tracer when set).
+    /// Trace recorder for every PE (one trace::RtosTraceAdapter per core).
     trace::TraceRecorder* tracer = nullptr;
     /// Per-PE hook run right after each OsCore is constructed (observers,
     /// fault hooks, analytics), before any task exists.
@@ -200,9 +200,9 @@ private:
     MappingSpec mapping_;
     SystemOptions opts_;
     sim::Kernel kernel_;
-    /// Declared before pes_ so the tracers outlive the cores: ~OsCore raises
-    /// on_core_teardown, which each tracer uses to close its open state spans.
-    std::vector<std::unique_ptr<obs::SpanTracer>> span_tracers_;
+    /// Trace adapters and span tracers, declared before pes_ so they outlive
+    /// the cores (~OsCore raises on_core_teardown; span tracers close spans).
+    std::vector<std::unique_ptr<rtos::OsObserver>> observers_;
     std::vector<std::unique_ptr<arch::ProcessingElement>> pes_;
     std::vector<std::unique_ptr<arch::Bus>> buses_;
     std::vector<std::unique_ptr<ChannelImpl>> channels_;

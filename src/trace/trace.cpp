@@ -62,42 +62,25 @@ constexpr std::uint32_t kMaxKind = static_cast<std::uint32_t>(RecordKind::Marker
 constexpr std::uint32_t kMaxStringLen = 1u << 20;  // 1 MiB per interned string
 constexpr std::uint32_t kMaxStrings = 1u << 24;    // 16M distinct strings
 
-void put_u32(std::ostream& os, std::uint32_t v) {
-    char b[4];
-    for (int i = 0; i < 4; ++i) {
+// Little-endian fixed-width unsigned integers (std::uint32_t / std::uint64_t).
+template <typename U>
+void put_le(std::ostream& os, U v) {
+    char b[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
         b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
     }
-    os.write(b, 4);
+    os.write(b, sizeof(U));
 }
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) {
-        b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
-    os.write(b, 8);
-}
-
-bool get_u32(std::istream& is, std::uint32_t& v) {
-    char b[4];
-    if (!is.read(b, 4)) {
+template <typename U>
+bool get_le(std::istream& is, U& v) {
+    char b[sizeof(U)];
+    if (!is.read(b, sizeof(U))) {
         return false;
     }
     v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i])) << (8 * i);
-    }
-    return true;
-}
-
-bool get_u64(std::istream& is, std::uint64_t& v) {
-    char b[8];
-    if (!is.read(b, 8)) {
-        return false;
-    }
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+        v |= static_cast<U>(static_cast<unsigned char>(b[i])) << (8 * i);
     }
     return true;
 }
@@ -444,22 +427,22 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
 }
 
 void TraceRecorder::save(std::ostream& os) const {
-    put_u32(os, kMagic);
-    put_u32(os, kVersion);
-    put_u32(os, static_cast<std::uint32_t>(strings_.count()));
+    put_le(os, kMagic);
+    put_le(os, kVersion);
+    put_le(os, static_cast<std::uint32_t>(strings_.count()));
     for (std::uint32_t i = 0; i < strings_.count(); ++i) {
         const std::string& s = strings_.str(i);
-        put_u32(os, static_cast<std::uint32_t>(s.size()));
+        put_le(os, static_cast<std::uint32_t>(s.size()));
         os.write(s.data(), static_cast<std::streamsize>(s.size()));
     }
-    put_u64(os, records_.size());
+    put_le<std::uint64_t>(os, records_.size());
     for (std::size_t i = 0; i < records_.size(); ++i) {
         const Record& r = records_[i];
-        put_u64(os, r.t_ns);
-        put_u32(os, static_cast<std::uint32_t>(r.kind));
-        put_u32(os, r.cpu);
-        put_u32(os, r.actor);
-        put_u32(os, r.detail);
+        put_le(os, r.t_ns);
+        put_le(os, static_cast<std::uint32_t>(r.kind));
+        put_le(os, r.cpu);
+        put_le(os, r.actor);
+        put_le(os, r.detail);
     }
 }
 
@@ -476,8 +459,8 @@ bool TraceRecorder::read(std::istream& is) {
     std::uint32_t magic = 0;
     std::uint32_t version = 0;
     std::uint32_t nstrings = 0;
-    if (!get_u32(is, magic) || magic != kMagic || !get_u32(is, version) ||
-        version != kVersion || !get_u32(is, nstrings) || nstrings == 0 ||
+    if (!get_le(is, magic) || magic != kMagic || !get_le(is, version) ||
+        version != kVersion || !get_le(is, nstrings) || nstrings == 0 ||
         nstrings > kMaxStrings) {
         return false;
     }
@@ -486,7 +469,7 @@ bool TraceRecorder::read(std::istream& is) {
     std::vector<std::uint32_t> ids;
     for (std::uint32_t i = 0; i < nstrings; ++i) {
         std::uint32_t len = 0;
-        if (!get_u32(is, len) || len > kMaxStringLen) {
+        if (!get_le(is, len) || len > kMaxStringLen) {
             return false;
         }
         std::string s(len, '\0');
@@ -499,7 +482,7 @@ bool TraceRecorder::read(std::istream& is) {
         ids.push_back(strings_.intern(s));
     }
     std::uint64_t nrecords = 0;
-    if (!get_u64(is, nrecords)) {
+    if (!get_le(is, nrecords)) {
         return false;
     }
     for (std::uint64_t i = 0; i < nrecords; ++i) {
@@ -508,8 +491,8 @@ bool TraceRecorder::read(std::istream& is) {
         std::uint32_t cpu = 0;
         std::uint32_t actor = 0;
         std::uint32_t detail = 0;
-        if (!get_u64(is, t_ns) || !get_u32(is, kind) || !get_u32(is, cpu) ||
-            !get_u32(is, actor) || !get_u32(is, detail) || kind > kMaxKind ||
+        if (!get_le(is, t_ns) || !get_le(is, kind) || !get_le(is, cpu) ||
+            !get_le(is, actor) || !get_le(is, detail) || kind > kMaxKind ||
             cpu >= nstrings || actor >= nstrings || detail >= nstrings ||
             (records_.size() > 0 && t_ns < records_.back().t_ns)) {
             return false;

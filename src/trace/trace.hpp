@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rtos/core.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
 #include "trace/intern.hpp"
@@ -183,9 +184,9 @@ private:
 ///     kernel.add_observer(&adapter);
 ///
 /// Use an explicit name filter to keep testbench/device processes out of the
-/// trace. Not intended for RTOS-based models — the OS core (rtos::OsCore,
-/// under any API personality) emits richer task-state records through
-/// RtosConfig::tracer instead.
+/// trace. Not intended for RTOS-based models — attach an RtosTraceAdapter
+/// to the OS core (rtos::OsCore, under any API personality) for richer
+/// task-state records instead.
 class SpecTraceAdapter final : public sim::KernelObserver {
 public:
     SpecTraceAdapter(sim::Kernel& kernel, TraceRecorder& rec, std::string cpu = {})
@@ -213,6 +214,43 @@ private:
     TraceRecorder& rec_;
     std::string cpu_;
     std::function<bool(const std::string&)> filter_;
+};
+
+/// Tracing for RTOS-based models: records every task-state change, context
+/// switch and interrupt of one OS core (any API personality), with the core's
+/// RtosConfig::cpu_name as `cpu`. Attach it before any other observer, right
+/// after the core is built: `trace::RtosTraceAdapter tracer{os, rec};`. It
+/// detaches in its destructor, or at on_core_teardown if the core dies first.
+class RtosTraceAdapter final : public rtos::OsObserver {
+public:
+    RtosTraceAdapter(rtos::OsCore& os, TraceRecorder& rec) : os_(&os), rec_(rec) {
+        os.add_observer(this);
+    }
+    ~RtosTraceAdapter() override {
+        if (os_ != nullptr) {
+            os_->remove_observer(this);
+        }
+    }
+    RtosTraceAdapter(const RtosTraceAdapter&) = delete;
+    RtosTraceAdapter& operator=(const RtosTraceAdapter&) = delete;
+
+    void on_task_state(const rtos::Task& t, rtos::TaskState /*from*/, rtos::TaskState to,
+                       SimTime now) override {
+        rec_.task_state(now, os_->config().cpu_name, t.name(), rtos::to_string(to));
+    }
+    void on_context_switch(const rtos::Task& to, const rtos::Task* from,
+                           SimTime now) override {
+        rec_.context_switch(now, os_->config().cpu_name, to.name(),
+                            from != nullptr ? std::string_view{from->name()} : "<idle>");
+    }
+    void on_isr(const std::string& irq_name, SimTime now) override {
+        rec_.irq(now, os_->config().cpu_name, irq_name);
+    }
+    void on_core_teardown() override { os_ = nullptr; }
+
+private:
+    rtos::OsCore* os_;
+    TraceRecorder& rec_;
 };
 
 }  // namespace slm::trace

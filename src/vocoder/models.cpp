@@ -196,9 +196,11 @@ VocoderResult run_vocoder_architecture(const VocoderConfig& cfg) {
     sim::Kernel k;
     rtos::RtosConfig rc = cfg.rtos;
     rc.cpu_name = "DSP";
-    rc.tracer = cfg.tracer;
     arch::ProcessingElement pe{k, "DSP", rc};
     rtos::OsCore& os = pe.os();
+    const auto tracer = cfg.tracer != nullptr
+                            ? std::make_unique<trace::RtosTraceAdapter>(os, *cfg.tracer)
+                            : nullptr;
     if (cfg.on_os) {
         cfg.on_os(os);
     }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -60,6 +61,9 @@ struct Api {
     std::function<void(const std::string&, SimTime, MissPolicy)> wd_arm;
     std::function<void(const std::string&)> wd_kick;
     std::function<void(const std::string&)> wd_disarm;
+    /// Deliver interrupt `irq` at time `at` from a device process; the ISR
+    /// signals "sem".
+    std::function<void(SimTime, const std::string&)> irq_at;
 };
 
 using Scenario = std::function<void(Api&)>;
@@ -74,7 +78,25 @@ struct Outcome {
     std::uint64_t restarts = 0;
     std::uint64_t crashes = 0;
     std::uint64_t watchdog_fires = 0;
+    // What each consumer of the core's switch and ISR events counted.
+    std::uint64_t preemptions = 0;
+    std::uint64_t isr_entries = 0;
+    std::uint64_t trace_switches = 0;
+    std::uint64_t trace_irqs = 0;
+    std::uint64_t analytics_switches = 0;
+    std::uint64_t analytics_dispatches = 0;
 };
+
+void count_consumers(Outcome& out, const OsCore& os, const trace::TraceRecorder& rec,
+                     const obs::Registry& reg) {
+    const obs::Labels cpu{{"cpu", os.config().cpu_name}};
+    out.preemptions = os.stats().preemptions;
+    out.isr_entries = os.stats().isr_entries;
+    out.trace_switches = rec.context_switches(os.config().cpu_name);
+    out.trace_irqs = rec.count(trace::RecordKind::Irq);
+    out.analytics_switches = reg.find_counter("slm_os_switches_total", cpu)->value();
+    out.analytics_dispatches = reg.find_counter("slm_os_dispatches_total", cpu)->value();
+}
 
 /// Observer-derived analytics as comparable text. Everything RtosAnalytics
 /// collects (latency/response histograms, preemption/switch/blocking
@@ -95,8 +117,8 @@ Outcome run_paper(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
     trace::TraceRecorder rec;
     RtosConfig cfg;
     cfg.policy = policy;
-    cfg.tracer = &rec;
     RtosModel os{k, cfg};
+    trace::RtosTraceAdapter tracer{os, rec};
     std::optional<fault::FaultInjector> inj;
     if (fplan != nullptr) {
         inj.emplace(*fplan);  // seeded by the plan: same PRNG both runners
@@ -141,6 +163,12 @@ Outcome run_paper(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
     };
     api.wd_kick = [&](const std::string& name) { os.watchdog_kick(tasks.at(name)); };
     api.wd_disarm = [&](const std::string& name) { os.watchdog_disarm(tasks.at(name)); };
+    api.irq_at = [&](SimTime at, const std::string& irq) {
+        k.spawn(irq, [&k, &os, &sem, at, irq] {
+            k.waitfor(at);
+            os.isr_deliver(irq, [&sem] { sem.release(); });
+        });
+    };
 
     sc(api);
     os.start();
@@ -148,9 +176,11 @@ Outcome run_paper(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
 
     std::ostringstream csv;
     rec.write_csv(csv);
-    return {csv.str(), analytics_metrics(reg), k.now().ns(),
-            os.stats().context_switches, os.stats().dispatches, os.stats().syscalls,
-            os.stats().restarts, os.stats().crashes, os.stats().watchdog_fires};
+    Outcome out{csv.str(), analytics_metrics(reg), k.now().ns(),
+                os.stats().context_switches, os.stats().dispatches, os.stats().syscalls,
+                os.stats().restarts, os.stats().crashes, os.stats().watchdog_fires};
+    count_consumers(out, os, rec, reg);
+    return out;
 }
 
 Outcome run_itron(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority,
@@ -159,8 +189,8 @@ Outcome run_itron(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
     trace::TraceRecorder rec;
     RtosConfig cfg;
     cfg.policy = policy;
-    cfg.tracer = &rec;
     itron::ItronOs os{k, cfg};
+    trace::RtosTraceAdapter tracer{os.core(), rec};
     std::optional<fault::FaultInjector> inj;
     if (fplan != nullptr) {
         inj.emplace(*fplan);
@@ -219,6 +249,12 @@ Outcome run_itron(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
     api.wd_disarm = [&](const std::string& name) {
         EXPECT_EQ(os.stp_wdg(ids.at(name)), itron::E_OK);
     };
+    api.irq_at = [&](SimTime at, const std::string& irq) {
+        k.spawn(irq, [&k, &os, at, irq] {
+            k.waitfor(at);
+            os.core().isr_deliver(irq, [&os] { EXPECT_EQ(os.sig_sem(1), itron::E_OK); });
+        });
+    };
 
     sc(api);
     os.start();
@@ -226,10 +262,12 @@ Outcome run_itron(const Scenario& sc, SchedPolicy policy = SchedPolicy::Priority
 
     std::ostringstream csv;
     rec.write_csv(csv);
-    return {csv.str(), analytics_metrics(reg), k.now().ns(),
-            os.core().stats().context_switches, os.core().stats().dispatches,
-            os.core().stats().syscalls, os.core().stats().restarts,
-            os.core().stats().crashes, os.core().stats().watchdog_fires};
+    Outcome out{csv.str(), analytics_metrics(reg), k.now().ns(),
+                os.core().stats().context_switches, os.core().stats().dispatches,
+                os.core().stats().syscalls, os.core().stats().restarts,
+                os.core().stats().crashes, os.core().stats().watchdog_fires};
+    count_consumers(out, os.core(), rec, reg);
+    return out;
 }
 
 void expect_conformant(const char* what, const Scenario& sc,
@@ -376,6 +414,39 @@ void sc_faulted_recovery(Api& api) {
     });
 }
 
+void sc_switch_edges(Api& api) {
+    // Every edge of the core's context-switch rule in one run (RoundRobin,
+    // 1 ms quantum): quantum expiries that re-pick the lone ready task (no
+    // switch), a preemption at a 100 us step boundary, a crash at dispatch
+    // (see kSwitchEdgesPlan), an ISR that wakes a waiting task, and a
+    // self-restart whose fresh incarnation is redispatched (a switch, though
+    // no task ran in between).
+    auto incarnation = std::make_shared<int>(0);
+    api.spawn_managed("solo", 3, [&api, incarnation] {
+        for (int i = 0; i < 25; ++i) {
+            api.exec(100_us);
+        }
+        if ((*incarnation)++ == 0) {
+            api.restart("solo");
+        }
+    });
+    api.spawn_task("hi", 1, [&api] {
+        api.delay(1250_us);
+        api.exec(200_us);
+    });
+    api.spawn_task("victim", 2, [&api] {
+        api.delay(2_ms);
+        api.exec(100_us);
+    });
+    api.spawn_task("waiter", 2, [&api] {
+        api.sem_wait();
+        api.exec(100_us);
+    });
+    api.irq_at(3500_us, "irq0");
+}
+
+constexpr const char* kSwitchEdgesPlan = "crash victim at=2ms\n";
+
 TEST(Conformance, Preemption) { expect_conformant("preemption", sc_preemption); }
 
 TEST(Conformance, SemaphoreProducerConsumer) {
@@ -403,6 +474,32 @@ TEST(Conformance, FaultInjectedRecovery) {
                       "seed 23\n"
                       "exec_jitter worker max=400us p=0.7\n"
                       "exec_scale worker factor=1.5 after=2ms until=6ms\n");
+}
+
+TEST(Conformance, SwitchEdges) {
+    expect_conformant("switch edges", sc_switch_edges, SchedPolicy::RoundRobin,
+                      kSwitchEdgesPlan);
+}
+
+// The core alone decides what a context switch is (OsCore::dispatch); the
+// trace adapter and RtosAnalytics count its on_context_switch hook, so all
+// three agree on every edge of the rule, under either personality.
+TEST(Conformance, OneDefinitionOfContextSwitch) {
+    const fault::FaultPlan plan = *fault::FaultPlan::parse(kSwitchEdgesPlan);
+    for (const bool itron : {false, true}) {
+        const Outcome o = itron ? run_itron(sc_switch_edges, SchedPolicy::RoundRobin, &plan)
+                                : run_paper(sc_switch_edges, SchedPolicy::RoundRobin, &plan);
+        SCOPED_TRACE(itron ? "ItronOs" : "RtosModel");
+        EXPECT_EQ(o.trace_switches, o.context_switches);
+        EXPECT_EQ(o.analytics_switches, o.context_switches);
+        EXPECT_EQ(o.trace_irqs, o.isr_entries);
+        // Each edge of the rule was exercised.
+        EXPECT_GT(o.analytics_dispatches, o.analytics_switches);  // RR re-picks
+        EXPECT_GT(o.preemptions, 0u);
+        EXPECT_EQ(o.crashes, 1u);
+        EXPECT_EQ(o.restarts, 1u);
+        EXPECT_EQ(o.isr_entries, 1u);
+    }
 }
 
 // ---- ITRON personality semantics ------------------------------------------
@@ -564,7 +661,8 @@ TEST(Conformance, ExplorerCoversBothPersonalities) {
     // the *same* space to the explorer, because choice points live in the
     // shared core, not in the API layer.
     auto paper_build = [](explore::Run& run) {
-        auto& os = run.make<RtosModel>(run.kernel(), RtosConfig{.tracer = &run.trace()});
+        auto& os = run.make<RtosModel>(run.kernel());
+        run.make<trace::RtosTraceAdapter>(os, run.trace());
         os.init();
         for (const char* n : {"A", "B"}) {
             Task* t = os.task_create(n, TaskType::Aperiodic, {}, {}, 1);
@@ -578,8 +676,8 @@ TEST(Conformance, ExplorerCoversBothPersonalities) {
         os.start();
     };
     auto itron_build = [](explore::Run& run) {
-        auto& os = run.make<itron::ItronOs>(run.kernel(),
-                                            RtosConfig{.tracer = &run.trace()});
+        auto& os = run.make<itron::ItronOs>(run.kernel());
+        run.make<trace::RtosTraceAdapter>(os.core(), run.trace());
         itron::ID id = 1;
         for (const char* n : {"A", "B"}) {
             os.cre_tsk(id, {.name = n, .itskpri = 1, .task = [&os] {
@@ -609,8 +707,8 @@ TEST(Conformance, ExplorerFindsDeadlockInItronModel) {
     // API: the core-level deadlock checker must flag it without any
     // personality-specific support.
     auto build = [](explore::Run& run) {
-        auto& os = run.make<itron::ItronOs>(run.kernel(),
-                                            RtosConfig{.tracer = &run.trace()});
+        auto& os = run.make<itron::ItronOs>(run.kernel());
+        run.make<trace::RtosTraceAdapter>(os.core(), run.trace());
         os.cre_sem(1, {.isemcnt = 1, .maxsem = 1, .name = "s1"});
         os.cre_sem(2, {.isemcnt = 1, .maxsem = 1, .name = "s2"});
         os.cre_tsk(1, {.name = "fwd", .itskpri = 1, .task = [&os] {

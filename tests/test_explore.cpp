@@ -26,8 +26,8 @@ namespace {
 void build_crossed(explore::Run& run, bool fixed_lock_order) {
     rtos::RtosConfig cfg;
     cfg.cpu_name = "CPU0";
-    cfg.tracer = &run.trace();
     auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
+    run.make<trace::RtosTraceAdapter>(os, run.trace());
     os.init();
     auto& m1 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m1");
     auto& m2 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m2");
@@ -59,9 +59,10 @@ void build_crossed(explore::Run& run, bool fixed_lock_order) {
 }
 
 void build_three_tasks(explore::Run& run, bool traced = true) {
-    rtos::RtosConfig cfg;
-    cfg.tracer = traced ? &run.trace() : nullptr;
-    auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
+    auto& os = run.make<rtos::RtosModel>(run.kernel());
+    if (traced) {
+        run.make<trace::RtosTraceAdapter>(os, run.trace());
+    }
     os.init();
     for (const char* name : {"t0", "t1", "t2"}) {
         rtos::Task* t = os.task_create(name, rtos::TaskType::Aperiodic, {}, {}, 1);

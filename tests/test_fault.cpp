@@ -339,9 +339,8 @@ TEST(FaultInjector, NoHookPathIsUntouched) {
     const auto run_once = [](bool with_inert_injector) {
         Kernel k;
         trace::TraceRecorder rec;
-        RtosConfig cfg;
-        cfg.tracer = &rec;
-        RtosModel os{k, cfg};
+        RtosModel os{k};
+        trace::RtosTraceAdapter tracer{os, rec};
         FaultInjector inj(plan_of("exec_scale nobody factor=9.0\n"));
         if (with_inert_injector) {
             inj.attach(os);
@@ -515,20 +514,19 @@ struct PolicyOutcome {
 PolicyOutcome run_policy_scenario(MissPolicy policy, bool use_itron) {
     Kernel k;
     trace::TraceRecorder rec;
-    RtosConfig cfg;
-    cfg.tracer = &rec;
     RecoveryWatch watch;  // outlives the core: ~OsCore notifies observers
     std::unique_ptr<RtosModel> paper;
     std::unique_ptr<itron::ItronOs> it;
     OsCore* core = nullptr;
     if (use_itron) {
-        it = std::make_unique<itron::ItronOs>(k, cfg);
+        it = std::make_unique<itron::ItronOs>(k);
         core = &it->core();
     } else {
-        paper = std::make_unique<RtosModel>(k, cfg);
+        paper = std::make_unique<RtosModel>(k);
         paper->init();
         core = paper.get();
     }
+    trace::RtosTraceAdapter tracer{*core, rec};
     FaultInjector inj(plan_of("exec_scale job factor=2.0 after=15us until=55us\n"));
     inj.attach(*core);
     core->add_observer(&watch);
@@ -652,9 +650,8 @@ namespace {
 std::string run_seeded_model(FaultInjector& inj) {
     Kernel k;
     trace::TraceRecorder rec;
-    RtosConfig cfg;
-    cfg.tracer = &rec;
-    RtosModel os{k, cfg};
+    RtosModel os{k};
+    trace::RtosTraceAdapter tracer{os, rec};
     inj.attach(os);
     os.init();
     for (int i = 0; i < 3; ++i) {
@@ -735,9 +732,8 @@ TEST(Campaign, FaultExplorerKeepsReplayIdentity) {
     // identically per path.
     FaultPlan plan = plan_of("exec_scale t0 factor=2.0\n");
     const auto build = [](explore::Run& run, FaultInjector&) {
-        rtos::RtosConfig cfg;
-        cfg.tracer = &run.trace();
-        auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
+        auto& os = run.make<rtos::RtosModel>(run.kernel());
+        run.make<trace::RtosTraceAdapter>(os, run.trace());
         os.init();
         for (const char* name : {"t0", "t1"}) {
             Task* t = os.task_create(name, TaskType::Aperiodic, {}, {}, 1);

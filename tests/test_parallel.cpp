@@ -52,8 +52,8 @@ std::string campaign_json(const fault::CampaignResult& res) {
 void build_crossed(explore::Run& run) {
     rtos::RtosConfig cfg;
     cfg.cpu_name = "CPU0";
-    cfg.tracer = &run.trace();
     auto& os = run.make<rtos::RtosModel>(run.kernel(), cfg);
+    run.make<trace::RtosTraceAdapter>(os, run.trace());
     os.init();
     auto& m1 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m1");
     auto& m2 = run.make<rtos::OsMutex>(os, rtos::OsMutex::Protocol::None, "m2");
@@ -128,8 +128,8 @@ fault::CampaignRun run_mini_model(fault::FaultInjector& inj) {
     trace::TraceRecorder rec;
     rtos::RtosConfig rc;
     rc.cpu_name = "CPU0";
-    rc.tracer = &rec;
     rtos::RtosModel os(k, rc);
+    trace::RtosTraceAdapter tracer{os, rec};
     os.init();
     inj.attach(os);
     rtos::Task* t = os.task_create("worker", rtos::TaskType::Aperiodic, {}, {}, 1);

@@ -593,8 +593,8 @@ TEST(Rtos, TracerRecordsSerializedExecution) {
     trace::TraceRecorder rec;
     RtosConfig cfg;
     cfg.cpu_name = "PE0";
-    cfg.tracer = &rec;
     RtosModel os{k, cfg};
+    trace::RtosTraceAdapter tracer{os, rec};
     add_task(k, os, "a", 1, [&](Task*) { os.time_wait(10_us); });
     add_task(k, os, "b", 2, [&](Task*) { os.time_wait(10_us); });
     os.start();
@@ -723,8 +723,8 @@ TEST_P(PolicySweep, WorkConservingSerialization) {
     RtosConfig cfg;
     cfg.policy = GetParam();
     cfg.quantum = 7_us;
-    cfg.tracer = &rec;
     RtosModel os{k, cfg};
+    trace::RtosTraceAdapter tracer{os, rec};
     constexpr int kTasks = 8;
     SimTime total;
     for (int i = 0; i < kTasks; ++i) {

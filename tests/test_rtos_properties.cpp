@@ -48,8 +48,8 @@ TEST_P(RtosProperties, RandomTaskSystemInvariants) {
     cfg.quantum = microseconds(rng() % 40 + 5);
     cfg.preemption_granularity =
         (rng() % 2 == 0) ? SimTime::zero() : microseconds(rng() % 30 + 5);
-    cfg.tracer = &rec;
     RtosModel os{k, cfg};
+    trace::RtosTraceAdapter tracer{os, rec};
 
     OsSemaphore sem{os, 1 + rng() % 2};
     const int n_aperiodic = 3 + static_cast<int>(rng() % 4);

@@ -515,7 +515,7 @@ TEST(Kernel, ObserverSeesStateTransitions) {
         }
     } rec;
     Kernel k;
-    k.set_observer(&rec);
+    k.add_observer(&rec);
     k.spawn("p", [&] { k.waitfor(1_us); });
     k.run();
     EXPECT_EQ(rec.log, (std::vector<std::string>{"p:Ready", "p:Running", "p:WaitingTime",
@@ -528,7 +528,7 @@ TEST(Kernel, ObserverSeesTimeAdvances) {
         void on_time_advance(SimTime t) override { times.push_back(t); }
     } rec;
     Kernel k;
-    k.set_observer(&rec);
+    k.add_observer(&rec);
     k.spawn("p", [&] {
         k.waitfor(2_us);
         k.waitfor(3_us);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
+#include "rtos/rtos.hpp"
 #include "sim/assert.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
@@ -190,7 +192,7 @@ TEST(SpecTraceAdapterTest, RecordsDelayStepsAsExecution) {
     sim::Kernel k;
     TraceRecorder rec;
     SpecTraceAdapter adapter{k, rec, "PE0"};
-    k.set_observer(&adapter);
+    k.add_observer(&adapter);
     k.spawn("B2", [&] {
         k.waitfor(30_us);
         k.waitfor(20_us);
@@ -207,7 +209,7 @@ TEST(SpecTraceAdapterTest, EventWaitsAreNotExecution) {
     sim::Kernel k;
     TraceRecorder rec;
     SpecTraceAdapter adapter{k, rec, "PE0"};
-    k.set_observer(&adapter);
+    k.add_observer(&adapter);
     sim::Event e{k, "e"};
     k.spawn("waiter", [&] {
         k.wait(e);          // idle: no span
@@ -229,11 +231,53 @@ TEST(SpecTraceAdapterTest, FilterExcludesTestbench) {
     TraceRecorder rec;
     SpecTraceAdapter adapter{k, rec, "PE0"};
     adapter.set_filter([](const std::string& name) { return name != "device"; });
-    k.set_observer(&adapter);
+    k.add_observer(&adapter);
     k.spawn("device", [&] { k.waitfor(10_us); });
     k.spawn("B1", [&] { k.waitfor(10_us); });
     k.run();
     EXPECT_EQ(rec.actors(), (std::vector<std::string>{"B1"}));
+}
+
+/// One task on `os` that runs 10 us from t = 0.
+rtos::Task* start_one_task(sim::Kernel& k, rtos::RtosModel& os) {
+    os.init();
+    rtos::Task* t = os.task_create("a", rtos::TaskType::Aperiodic, {}, {}, 1);
+    k.spawn("a", [&os, t] {
+        os.task_activate(t);
+        os.time_wait(10_us);
+        os.task_terminate();
+    });
+    os.start();
+    return t;
+}
+
+TEST(RtosTraceAdapterTest, AdapterMayDieBeforeItsCore) {
+    sim::Kernel k;
+    TraceRecorder rec;
+    rtos::RtosModel os{k};
+    auto tracer = std::make_unique<RtosTraceAdapter>(os, rec);
+    const rtos::Task* t = start_one_task(k, os);
+    k.run_until(5_us);
+    const std::size_t recorded = rec.size();
+    EXPECT_EQ(rec.context_switches("cpu0"), 1u);
+    tracer.reset();  // detaches: the core's later events reach no dead observer
+    k.run();
+    EXPECT_EQ(t->state(), rtos::TaskState::Terminated);
+    EXPECT_EQ(rec.size(), recorded);
+}
+
+TEST(RtosTraceAdapterTest, CoreMayDieBeforeItsAdapter) {
+    TraceRecorder rec;
+    std::unique_ptr<RtosTraceAdapter> tracer;
+    {
+        sim::Kernel k;
+        rtos::RtosModel os{k};
+        tracer = std::make_unique<RtosTraceAdapter>(os, rec);
+        start_one_task(k, os);
+        k.run();
+    }  // ~OsCore raises on_core_teardown: the adapter drops its core
+    EXPECT_EQ(rec.context_switches("cpu0"), 1u);
+    tracer.reset();  // must not touch the dead core
 }
 
 TEST(Trace, GanttRendersRows) {
