@@ -99,8 +99,22 @@ Task* OsCore::task_create(TaskParams params) {
 }
 
 Task* OsCore::self() const {
-    const auto it = by_process_.find(sim::this_process());
-    return it != by_process_.end() ? it->second : nullptr;
+    const sim::Process* p = sim::this_process();
+    if (p == nullptr) {
+        return nullptr;
+    }
+    const auto id = static_cast<std::size_t>(p->id());
+    Task* t = id < by_pid_.size() ? by_pid_[id] : nullptr;
+    // A process of another kernel may share the id.
+    return t != nullptr && t->proc_ == p ? t : nullptr;
+}
+
+Task*& OsCore::pid_slot(const sim::Process* p) {
+    const auto id = static_cast<std::size_t>(p->id());
+    if (id >= by_pid_.size()) {
+        by_pid_.resize(id + 1, nullptr);
+    }
+    return by_pid_[id];
 }
 
 std::vector<const Task*> OsCore::tasks() const {
@@ -239,13 +253,17 @@ void OsCore::maybe_yield() {
         set_task_state(selftask, TaskState::Running);
         return;
     }
-    ++stats_.preemptions;
-    ++selftask->stats_.preemptions;
-    for (OsObserver* obs : observers_) {
-        obs->on_preempt(*selftask, *best, kernel_.now());
-    }
+    count_preemption(selftask, best);
     dispatch(best);
     wait_dispatch(selftask);
+}
+
+void OsCore::count_preemption(Task* preempted, Task* by) {
+    ++stats_.preemptions;
+    ++preempted->stats_.preemptions;
+    for (OsObserver* obs : observers_) {
+        obs->on_preempt(*preempted, *by, kernel_.now());
+    }
 }
 
 void OsCore::rotate_quantum() {
@@ -259,6 +277,12 @@ void OsCore::rotate_quantum() {
         quantum_used_ = SimTime::zero();
         set_task_state(selftask, TaskState::Running);
         return;
+    }
+    // A higher-priority task that became ready mid-quantum takes the CPU
+    // here, at the quantum boundary, instead of in maybe_yield(): still an
+    // involuntary loss. Rotation among equals is not a preemption.
+    if (policy_->preempts(*best, *selftask)) {
+        count_preemption(selftask, best);
     }
     dispatch(best);
     wait_dispatch(selftask);
@@ -331,6 +355,7 @@ void OsCore::boost_priority(Task* t, int priority) {
 
 void OsCore::restore_priority(Task* t, int saved) {
     t->inherited_priority_ = saved;
+    requeue_if_ready(t);  // keep the ready heap ordered by the current key
 }
 
 void OsCore::note_resource_block(const Task* blocked, const Task* holder,
@@ -385,7 +410,7 @@ void OsCore::task_activate(Task* t) {
                        "this process is already bound to another task");
             t->proc_ = proc;
             t->pending_proc_ = nullptr;  // task_start's wrapper is now bound
-            by_process_[proc] = t;
+            pid_slot(proc) = t;
             t->release_time_ = kernel_.now();
             ++t->stats_.activations;
             if (t->params_.type == TaskType::Periodic) {
@@ -441,7 +466,7 @@ void OsCore::task_terminate() {
     }
     watchdog_cancel_internal(t);
     set_task_state(t, TaskState::Terminated);
-    by_process_.erase(t->proc_);
+    pid_slot(t->proc_) = nullptr;
     t->proc_ = nullptr;
     t->pending_proc_ = nullptr;
     running_ = nullptr;
@@ -567,7 +592,7 @@ void OsCore::task_kill(Task* t) {
         proc = t->pending_proc_;  // started but never bound (pre-activate kill)
     }
     if (t->proc_ != nullptr) {
-        by_process_.erase(t->proc_);
+        pid_slot(t->proc_) = nullptr;
         t->proc_ = nullptr;
     }
     t->pending_proc_ = nullptr;
@@ -795,7 +820,7 @@ void OsCore::interrupt_return() {
     schedule();
 }
 
-void OsCore::isr_deliver(const std::string& irq_name, std::function<void()> handler) {
+void OsCore::isr_deliver(const std::string& irq_name, const std::function<void()>& handler) {
     SLM_ASSERT(handler != nullptr, "isr_deliver() requires a handler");
     IsrFate fate;
     if (fault_hook_ != nullptr) {
@@ -809,8 +834,7 @@ void OsCore::isr_deliver(const std::string& irq_name, std::function<void()> hand
         // runs in scheduler context, where event_notify's caller-side yield
         // guard is naturally inert (self() is null there).
         kernel_.post_at(kernel_.now() + fate.delay,
-                        [this, irq_name, handler = std::move(handler),
-                         extra = fate.extra_fires] {
+                        [this, irq_name, handler, extra = fate.extra_fires] {
                             deliver_isr_now(irq_name, handler, extra);
                         });
         return;
@@ -901,7 +925,7 @@ void OsCore::task_restart(Task* t) {
         obs->on_task_restart(*t, kernel_.now());
     }
     if (t->proc_ != nullptr) {
-        by_process_.erase(t->proc_);
+        pid_slot(t->proc_) = nullptr;
         t->proc_ = nullptr;
     }
     t->pending_proc_ = nullptr;
@@ -945,7 +969,7 @@ void OsCore::crash_running(Task* t) {
     // after the crash is the recovery path (Restart revives the task).
     set_task_state(t, TaskState::Terminated);
     sim::Process* proc = t->proc_;
-    by_process_.erase(proc);
+    pid_slot(proc) = nullptr;
     t->proc_ = nullptr;
     t->pending_proc_ = nullptr;
     schedule();

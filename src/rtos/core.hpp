@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rtos/scheduler.hpp"
@@ -116,6 +115,7 @@ public:
 private:
     friend class OsCore;
     friend class ReadyQueue;  // intrusive ready-queue link access
+    friend struct ReadyQueueProbe;  // tests set queue keys directly
 
     Task(OsCore& os, TaskParams params);
 
@@ -359,8 +359,9 @@ public:
     /// FaultHook installed this is exactly isr_enter(); handler();
     /// interrupt_return(). A hook may drop the delivery, defer it by a
     /// kernel one-shot timer, or replay it spuriously. The preferred ISR
-    /// idiom for architecture models (the arch layer uses it).
-    void isr_deliver(const std::string& irq_name, std::function<void()> handler);
+    /// idiom for architecture models (the arch layer uses it). The handler
+    /// is copied only when delivery is deferred.
+    void isr_deliver(const std::string& irq_name, const std::function<void()>& handler);
 
     // ---- task management ----
 
@@ -560,6 +561,10 @@ private:
     void schedule();
     void maybe_yield();
     void rotate_quantum();
+    /// Count `preempted`'s involuntary CPU loss to `by` and raise on_preempt.
+    void count_preemption(Task* preempted, Task* by);
+    /// by_pid_ entry for `p`, grown on demand.
+    Task*& pid_slot(const sim::Process* p);
     void wait_dispatch(Task* t);
     /// Crash check + switch cost, run by the task that just won the CPU.
     void on_dispatched(Task* t);
@@ -586,7 +591,8 @@ private:
     std::vector<std::unique_ptr<Task>> tasks_;
     std::vector<std::unique_ptr<OsEvent>> events_;
     std::unique_ptr<ReadyQueue> ready_;
-    std::unordered_map<const sim::Process*, Task*> by_process_;
+    /// Bound task per sim::Process::id() (nullptr: none), so self() is O(1).
+    std::vector<Task*> by_pid_;
     Task* running_ = nullptr;
     Task* last_dispatched_ = nullptr;
     bool reschedule_pending_ = false;

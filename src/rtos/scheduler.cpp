@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "rtos/rtos.hpp"
@@ -75,89 +74,16 @@ private:
     std::deque<Task*> q_;
 };
 
-/// Priority buckets: a map keyed by effective priority (smaller = higher),
-/// FIFO by arrival_seq inside each bucket. Dispatch is O(log P) in the number
-/// of *distinct* priority levels — effectively O(1) for real task sets —
-/// instead of O(n) in ready tasks. The insertion key is remembered in the
-/// intrusive link so erase() finds the right bucket even after the task's
-/// effective priority changed (requeue() re-inserts under the new key,
-/// keeping arrival order within the destination bucket).
-class PriorityBucketQueue final : public ReadyQueue {
-public:
-    void push(Task* t) override {
-        const int key = t->effective_priority();
-        auto& bucket = buckets_[key];
-        // Monotone arrival_seq makes push_back sorted; a requeue()ed task may
-        // carry an older seq and belongs further forward.
-        if (bucket.empty() || bucket.back()->arrival_seq() < t->arrival_seq()) {
-            bucket.push_back(t);
-        } else {
-            const auto it = std::upper_bound(
-                bucket.begin(), bucket.end(), t->arrival_seq(),
-                [](std::uint64_t seq, const Task* q) { return seq < q->arrival_seq(); });
-            bucket.insert(it, t);
-        }
-        link(*t).bucket = key;
-        link(*t).queued = true;
-        ++size_;
-    }
-    Task* peek() const override {
-        return buckets_.empty() ? nullptr : buckets_.begin()->second.front();
-    }
-    Task* pop() override {
-        SLM_ASSERT(!buckets_.empty(), "pop() on an empty ready queue");
-        const auto it = buckets_.begin();
-        Task* t = it->second.front();
-        it->second.pop_front();
-        if (it->second.empty()) {
-            buckets_.erase(it);
-        }
-        link(*t).queued = false;
-        --size_;
-        return t;
-    }
-    void erase(Task* t) override {
-        if (!link(*t).queued) {
-            return;
-        }
-        const auto it = buckets_.find(link(*t).bucket);
-        SLM_ASSERT(it != buckets_.end(), "ready task lost its priority bucket");
-        std::erase(it->second, t);
-        if (it->second.empty()) {
-            buckets_.erase(it);
-        }
-        link(*t).queued = false;
-        --size_;
-    }
-    void requeue(Task* t) override {
-        if (link(*t).queued && link(*t).bucket != t->effective_priority()) {
-            erase(t);
-            push(t);
-        }
-    }
-    bool empty() const override { return buckets_.empty(); }
-    std::size_t size() const override { return size_; }
-    void ties(std::vector<Task*>& out) const override {
-        // Every task in the best bucket shares the dispatch key; the bucket
-        // deque is already in arrival order with pop()'s choice at the front.
-        if (!buckets_.empty()) {
-            const auto& bucket = buckets_.begin()->second;
-            out.insert(out.end(), bucket.begin(), bucket.end());
-        }
-    }
-
-private:
-    std::map<int, std::deque<Task*>> buckets_;
-    std::size_t size_ = 0;
-};
-
-/// Binary min-heap keyed by a policy-supplied SimTime (absolute deadline for
-/// EDF, period for RMS) with arrival_seq as tie-break. O(log n) push/pop,
-/// O(log n) erase via the intrusive heap position.
+/// Binary min-heap keyed by a policy-supplied key (effective priority for
+/// Priority/RoundRobin, absolute deadline for EDF, period for RMS) with
+/// arrival_seq as tie-break. arrival_seq is unique, so (key, arrival_seq) is
+/// a total order: FIFO by arrival among equal keys. O(log n) push/pop/erase
+/// via the intrusive heap position; nothing allocates once the vector has
+/// grown to the task count.
 template <typename KeyFn>
-class TimeHeapQueue final : public ReadyQueue {
+class HeapQueue final : public ReadyQueue {
 public:
-    explicit TimeHeapQueue(KeyFn key) : key_(key) {}
+    explicit HeapQueue(KeyFn key) : key_(key) {}
 
     void push(Task* t) override {
         link(*t).queued = true;
@@ -193,7 +119,7 @@ public:
         // array has no useful order among them, so sort by arrival_seq — the
         // heap's own tie-break puts the earliest arrival at the top, so out[0]
         // matches pop().
-        const SimTime best = key_(*heap_.front());
+        const auto best = key_(*heap_.front());
         const std::size_t first = out.size();
         for (Task* t : heap_) {
             if (key_(*t) == best) {
@@ -208,8 +134,8 @@ public:
 
 private:
     bool before(const Task* a, const Task* b) const {
-        const SimTime ka = key_(*a);
-        const SimTime kb = key_(*b);
+        const auto ka = key_(*a);
+        const auto kb = key_(*b);
         if (ka != kb) {
             return ka < kb;
         }
@@ -269,8 +195,8 @@ private:
 };
 
 template <typename KeyFn>
-std::unique_ptr<ReadyQueue> make_time_heap(KeyFn key) {
-    return std::make_unique<TimeHeapQueue<KeyFn>>(key);
+std::unique_ptr<ReadyQueue> make_heap_queue(KeyFn key) {
+    return std::make_unique<HeapQueue<KeyFn>>(key);
 }
 
 // ---- policies ----
@@ -288,7 +214,7 @@ class PriorityPolicy : public SchedulerPolicy {
 public:
     const char* name() const override { return "Priority"; }
     std::unique_ptr<ReadyQueue> make_queue() const override {
-        return std::make_unique<PriorityBucketQueue>();
+        return make_heap_queue([](const Task& t) { return t.effective_priority(); });
     }
     bool preempts(const Task& cand, const Task& running) const override {
         return cand.effective_priority() < running.effective_priority();
@@ -311,7 +237,7 @@ class EdfPolicy final : public SchedulerPolicy {
 public:
     const char* name() const override { return "EDF"; }
     std::unique_ptr<ReadyQueue> make_queue() const override {
-        return make_time_heap([](const Task& t) { return t.absolute_deadline(); });
+        return make_heap_queue([](const Task& t) { return t.absolute_deadline(); });
     }
     bool preempts(const Task& cand, const Task& running) const override {
         return cand.absolute_deadline() < running.absolute_deadline();
@@ -322,7 +248,7 @@ class RmsPolicy final : public SchedulerPolicy {
 public:
     const char* name() const override { return "RMS"; }
     std::unique_ptr<ReadyQueue> make_queue() const override {
-        return make_time_heap([](const Task& t) { return key(t); });
+        return make_heap_queue([](const Task& t) { return key(t); });
     }
     bool preempts(const Task& cand, const Task& running) const override {
         return key(cand) < key(running);

@@ -28,7 +28,6 @@ enum class SchedPolicy {
 /// scheduler's ReadyQueue; tasks never touch it themselves.
 struct ReadyLink {
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    int bucket = 0;               ///< bucket key at insertion (bucket queues)
     std::size_t heap_pos = npos;  ///< heap slot (heap queues)
     bool queued = false;
 };

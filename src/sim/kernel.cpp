@@ -169,14 +169,26 @@ void Kernel::end_delta() {
     ++stats_.delta_cycles;
 }
 
-bool Kernel::advance_time(SimTime limit) {
+bool Kernel::live(const TimedEntry& e) {
     // A timed entry is live for a process sleeping in waitfor() and for a
     // process whose wait_timeout() deadline is still armed.
-    const auto live = [](const TimedEntry& e) {
-        return e.token == e.p->wake_token_ &&
-               (e.p->state_ == ProcState::WaitingTime ||
-                e.p->state_ == ProcState::WaitingEvent);
-    };
+    return e.token == e.p->wake_token_ &&
+           (e.p->state_ == ProcState::WaitingTime || e.p->state_ == ProcState::WaitingEvent);
+}
+
+void Kernel::skim_dead_entries() {
+    // A cancelled timer or a superseded process wakeup must not drag
+    // simulated time forward.
+    while (!timed_.empty() && !live(timed_.top())) {
+        timed_.pop();
+    }
+    while (!timer_q_.empty() &&
+           timer_fns_.find(timer_q_.top().id) == timer_fns_.end()) {
+        timer_q_.pop();
+    }
+}
+
+bool Kernel::advance_time(SimTime limit) {
     const auto fire = [this](const TimedEntry& e) {
         if (e.p->state_ == ProcState::WaitingEvent) {
             // wait_timeout() expired: leave the event's waiter list and
@@ -190,15 +202,7 @@ bool Kernel::advance_time(SimTime limit) {
         make_ready(e.p);
     };
 
-    // Skim dead entries from both queues first: a cancelled timer or a
-    // superseded process wakeup must not drag simulated time forward.
-    while (!timed_.empty() && !live(timed_.top())) {
-        timed_.pop();
-    }
-    while (!timer_q_.empty() &&
-           timer_fns_.find(timer_q_.top().id) == timer_fns_.end()) {
-        timer_q_.pop();
-    }
+    skim_dead_entries();
     if (timed_.empty() && timer_q_.empty()) {
         return false;
     }
@@ -277,6 +281,7 @@ bool Kernel::run_until(SimTime t_end) {
         }
     } guard{this, prev};
     sched_ctx_.adopt_thread_stack();  // ASan fiber bookkeeping; no-op otherwise
+    run_limit_ = t_end;
 
     for (;;) {
         drain_runnable();
@@ -355,9 +360,50 @@ void Kernel::waitfor(SimTime dt) {
     check_killed();
     Process* self = current_;
     set_state(self, ProcState::WaitingTime);
-    timed_.push(TimedEntry{now_ + dt, seq_counter_++, self, ++self->wake_token_});
-    block_current_and_reschedule();
+    const SimTime wake = now_ + dt;
+    if (wakes_next(wake)) {
+        advance_inline(self, wake);
+    } else {
+        timed_.push(TimedEntry{wake, seq_counter_++, self, ++self->wake_token_});
+        block_current_and_reschedule();
+    }
     check_killed();
+}
+
+void Kernel::advance_inline(Process* self, SimTime wake) {
+    // The scheduler would end this delta, advance to `wake` and resume `self`
+    // alone. Do exactly that here, with the same counters and observer
+    // callbacks (current() reads null in them, as it does in the scheduler),
+    // and skip the two context switches.
+    current_ = nullptr;
+    end_delta();
+    now_ = wake;
+    ++stats_.time_advances;
+    for (KernelObserver* obs : observers_) {
+        obs->on_time_advance(now_);
+    }
+    ++self->wake_token_;
+    set_state(self, ProcState::Ready);
+    set_state(self, ProcState::Running);
+    current_ = self;
+    ++stats_.process_activations;
+}
+
+bool Kernel::wakes_next(SimTime wake) {
+    if (!runnable_.empty() || wake > run_limit_) {
+        return false;
+    }
+    // A notified event with waiters makes them runnable at the delta's end.
+    for (const Event* e : notified_events_) {
+        if (!e->waiters_.empty()) {
+            return false;
+        }
+    }
+    // Live entries at `wake` itself run first: timers always, timed entries
+    // by their earlier sequence numbers.
+    skim_dead_entries();
+    return (timed_.empty() || timed_.top().t > wake) &&
+           (timer_q_.empty() || timer_q_.top().t > wake);
 }
 
 void Kernel::yield() {

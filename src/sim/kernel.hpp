@@ -151,6 +151,9 @@ public:
     [[nodiscard]] bool wait_timeout(Event& e, SimTime dt);
 
     /// Block for `dt` of simulated time. waitfor(0) yields to the next delta.
+    /// When nothing else can run before `now() + dt` the kernel advances time
+    /// in place, without leaving the process; counters, observer callbacks
+    /// and results are exactly those of the scheduler round trip.
     void waitfor(SimTime dt);
 
     /// Re-run after the other currently-runnable processes, same time and delta.
@@ -226,7 +229,17 @@ private:
     void block_current_and_reschedule();
     void check_killed();
     void finish_current(ProcState final_state);  // called from trampoline; no return
+    static bool live(const TimedEntry& e);
+    /// Pop dead entries (superseded wakeups, cancelled timers) off both
+    /// queue tops.
+    void skim_dead_entries();
     bool advance_time(SimTime limit);
+    /// True when a waitfor() ending at `wake` would be the next thing the
+    /// scheduler runs: nothing runnable or about to be woken in this delta,
+    /// `wake` within the run_until() limit, and every live timed entry and
+    /// timer strictly later. waitfor() then advances time inline.
+    bool wakes_next(SimTime wake);
+    void advance_inline(Process* self, SimTime wake);
     void end_delta();
     void drain_runnable();
     void consult_controller();
@@ -238,6 +251,7 @@ private:
     ContextBackend backend_;
     StackPool stack_pool_;
     SimTime now_{};
+    SimTime run_limit_{};  ///< t_end of the active run_until()
     std::deque<Process*> runnable_;
     std::priority_queue<TimedEntry, std::vector<TimedEntry>, TimedLater> timed_;
     // One-shot timers: the queue orders instants, the map is the liveness

@@ -447,6 +447,17 @@ void sc_switch_edges(Api& api) {
 
 constexpr const char* kSwitchEdgesPlan = "crash victim at=2ms\n";
 
+void sc_rr_quantum_preemption(Api& api) {
+    // RoundRobin, 1 ms quantum: "hi" becomes ready at 1.2 ms, mid-quantum,
+    // and takes the CPU at the 2 ms quantum boundary through the rotation.
+    // That handoff is an involuntary loss for "lo": a preemption.
+    api.spawn_task("lo", 3, [&api] { api.exec(2500_us); });
+    api.spawn_task("hi", 1, [&api] {
+        api.delay(1200_us);
+        api.exec(200_us);
+    });
+}
+
 TEST(Conformance, Preemption) { expect_conformant("preemption", sc_preemption); }
 
 TEST(Conformance, SemaphoreProducerConsumer) {
@@ -479,6 +490,25 @@ TEST(Conformance, FaultInjectedRecovery) {
 TEST(Conformance, SwitchEdges) {
     expect_conformant("switch edges", sc_switch_edges, SchedPolicy::RoundRobin,
                       kSwitchEdgesPlan);
+}
+
+TEST(Conformance, RoundRobinQuantumPreemption) {
+    expect_conformant("round-robin quantum preemption", sc_rr_quantum_preemption,
+                      SchedPolicy::RoundRobin);
+    for (const bool itron : {false, true}) {
+        SCOPED_TRACE(itron ? "ItronOs" : "RtosModel");
+        const Outcome o = itron ? run_itron(sc_rr_quantum_preemption, SchedPolicy::RoundRobin)
+                                : run_paper(sc_rr_quantum_preemption, SchedPolicy::RoundRobin);
+        EXPECT_EQ(o.preemptions, 1u);
+        EXPECT_NE(o.metrics.find("slm_task_preempted_total{cpu=\"cpu0\",task=\"lo\"} 1"),
+                  std::string::npos)
+            << o.metrics;
+        EXPECT_NE(o.csv.find("2000000,context_switch,cpu0,hi,lo"), std::string::npos) << o.csv;
+        // Rotation among equal priorities stays a plain rotation.
+        const Outcome rr = itron ? run_itron(sc_round_robin, SchedPolicy::RoundRobin)
+                                 : run_paper(sc_round_robin, SchedPolicy::RoundRobin);
+        EXPECT_EQ(rr.preemptions, 0u);
+    }
 }
 
 // The core alone decides what a context switch is (OsCore::dispatch); the

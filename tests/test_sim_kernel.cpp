@@ -827,6 +827,252 @@ TEST(Kernel, TimerCallbackCanChainAnotherTimer) {
     EXPECT_EQ(fires, (std::vector<SimTime>{10_us, 20_us, 30_us}));
 }
 
+// ---- Inline time advance ----
+//
+// A waitfor() whose end comes before anything else the scheduler could run
+// advances time without leaving the process. Each test pins one boundary at
+// which the kernel must take the scheduler round trip instead; the results
+// are those of the round trip either way.
+
+TEST(Kernel, InlineAdvanceStopsAtRunUntilLimit) {
+    Kernel k;
+    std::vector<SimTime> seen;
+    k.spawn("p", [&] {
+        k.waitfor(2_us);
+        seen.push_back(k.now());
+        k.waitfor(5_us);  // ends at 7 us, past the first limit
+        seen.push_back(k.now());
+        k.waitfor(3_us);
+        seen.push_back(k.now());
+    });
+    EXPECT_TRUE(k.run_until(4_us));
+    EXPECT_EQ(seen, (std::vector<SimTime>{2_us}));
+    EXPECT_EQ(k.now(), 4_us);
+    EXPECT_TRUE(k.run_until(7_us));  // a wakeup exactly at the limit still runs
+    EXPECT_EQ(seen, (std::vector<SimTime>{2_us, 7_us}));
+    EXPECT_EQ(k.now(), 7_us);
+    EXPECT_FALSE(k.run_until(20_us));
+    EXPECT_EQ(seen, (std::vector<SimTime>{2_us, 7_us, 10_us}));
+    EXPECT_EQ(k.now(), 20_us);
+    EXPECT_EQ(k.stats().time_advances, 3u);
+}
+
+TEST(Kernel, InlineAdvanceYieldsToTimedEntryAtSameInstant) {
+    // "b" scheduled its wakeup at 5 us first, so it runs first at 5 us even
+    // though "a" is alone when it asks for the same instant.
+    Kernel k;
+    std::vector<std::string> log;
+    k.spawn("a", [&] {
+        k.waitfor(2_us);
+        k.waitfor(3_us);
+        log.push_back("a@" + k.now().to_string());
+    });
+    k.spawn("b", [&] {
+        k.waitfor(5_us);
+        log.push_back("b@" + k.now().to_string());
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"b@5 us", "a@5 us"}));
+}
+
+TEST(Kernel, InlineAdvanceYieldsToTimerAtSameInstant) {
+    Kernel k;
+    std::vector<std::string> log;
+    k.spawn("p", [&] {
+        k.waitfor(1_us);
+        k.post_at(4_us, [&] {
+            log.push_back(this_process() == nullptr ? "timer in scheduler" : "timer in process");
+        });
+        k.waitfor(3_us);
+        log.push_back("p@" + k.now().to_string());
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"timer in scheduler", "p@4 us"}));
+}
+
+TEST(Kernel, InlineAdvanceWakesNotifiedWaiterFirst) {
+    // The waiter wakes at the end of the notifying delta, before time moves.
+    Kernel k;
+    Event e{k, "e"};
+    std::vector<std::string> log;
+    k.spawn("w", [&] {
+        k.wait(e);
+        log.push_back("w@" + k.now().to_string());
+    });
+    k.spawn("n", [&] {
+        k.notify(e);
+        k.waitfor(1_us);
+        log.push_back("n@" + k.now().to_string());
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"w@0 ns", "n@1 us"}));
+}
+
+TEST(Kernel, InlineAdvanceTimerKillAtSameInstant) {
+    Kernel k;
+    bool unwound = false;
+    bool resumed = false;
+    struct Guard {
+        bool& flag;
+        ~Guard() { flag = true; }
+    };
+    Process* victim = k.spawn("victim", [&] {
+        Guard g{unwound};
+        k.waitfor(1_us);
+        k.waitfor(4_us);  // a timer kills it at exactly 5 us
+        resumed = true;
+    });
+    k.post_at(5_us, [&] { k.kill(*victim); });
+    k.run();
+    EXPECT_TRUE(unwound);
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(victim->state(), ProcState::Killed);
+    EXPECT_EQ(k.now(), 5_us);
+}
+
+namespace {
+
+/// Every KernelObserver callback as one text line, with the simulated time
+/// and the process current() reports inside the callback.
+struct CallbackLog : KernelObserver {
+    explicit CallbackLog(Kernel& k) : k(k) {}
+    void on_process_state(const Process& p, ProcState from, ProcState to) override {
+        line(p.name() + " " + to_string(from) + ">" + to_string(to));
+    }
+    void on_time_advance(SimTime now) override { line("advance " + now.to_string()); }
+    void line(const std::string& what) {
+        text += std::to_string(k.now().ns()) + " [" +
+                (k.current() != nullptr ? k.current()->name() : "-") + "] " + what + "\n";
+    }
+    Kernel& k;
+    std::string text;
+};
+
+/// Captured from the scheduler round trip alone (before inline advance).
+constexpr const char* kInlineAdvanceGolden = R"(0 [-] solo Created>Ready
+0 [-] pair Created>Ready
+0 [-] victim Created>Ready
+0 [-] parent Created>Ready
+0 [-] solo Ready>Running
+0 [solo] solo Running>WaitingTime
+0 [-] pair Ready>Running
+0 [pair] pair Running>WaitingTime
+0 [-] victim Ready>Running
+0 [victim] victim Running>WaitingTime
+0 [-] parent Ready>Running
+0 [parent] parent.par0 Created>Ready
+0 [parent] parent.par1 Created>Ready
+0 [parent] parent Running>Joining
+0 [-] parent.par0 Ready>Running
+0 [parent.par0] parent.par0 Running>WaitingTime
+0 [-] parent.par1 Ready>Running
+0 [parent.par1] parent.par1 Running>WaitingTime
+1000 [-] advance 1 us
+1000 [-] parent.par0 WaitingTime>Ready
+1000 [-] parent.par0 Ready>Running
+1000 [parent.par0] parent.par0 Running>Done
+2000 [-] advance 2 us
+2000 [-] solo WaitingTime>Ready
+2000 [-] solo Ready>Running
+2000 [solo] solo Running>WaitingTime
+3000 [-] advance 3 us
+3000 [-] pair WaitingTime>Ready
+3000 [-] pair Ready>Running
+3000 [pair] pair Running>WaitingEvent
+4000 [-] advance 4 us
+4000 [-] solo WaitingTime>Ready
+4000 [-] solo Ready>Running
+4000 [solo] solo Running>WaitingTime
+6000 [-] advance 6 us
+6000 [-] solo WaitingTime>Ready
+6000 [-] solo Ready>Running
+6000 [solo] solo Running>WaitingEvent
+7000 [-] advance 7 us
+7000 [-] pair WaitingEvent>Ready
+7000 [-] solo WaitingEvent>Ready
+7000 [-] pair Ready>Running
+7000 [pair] pair Running>WaitingTime
+7000 [-] solo Ready>Running
+7000 [solo] solo Running>WaitingTime
+7000 [-] advance 7 us
+7000 [-] pair WaitingTime>Ready
+7000 [-] pair Ready>Running
+7000 [pair] pair Running>Ready
+7000 [-] pair Ready>Running
+7000 [pair] pair Running>WaitingTime
+8000 [-] advance 8 us
+8000 [-] solo WaitingTime>Ready
+8000 [-] pair WaitingTime>Ready
+8000 [-] solo Ready>Running
+8000 [solo] solo Running>Done
+8000 [-] pair Ready>Running
+8000 [pair] pair Running>Done
+9000 [-] advance 9 us
+9000 [-] victim WaitingTime>Ready
+9000 [-] victim Ready>Running
+9000 [victim] victim Running>Killed
+12000 [-] advance 12 us
+12000 [-] parent.par1 WaitingTime>Ready
+12000 [-] parent.par1 Ready>Running
+12000 [parent.par1] parent.par1 Running>Done
+12000 [parent.par1] parent Joining>Ready
+12000 [-] parent Ready>Running
+12000 [parent] parent Running>WaitingTime
+14000 [-] advance 14 us
+14000 [-] parent WaitingTime>Ready
+14000 [-] parent Ready>Running
+14000 [parent] parent Running>WaitingTime
+16000 [-] advance 16 us
+16000 [-] parent WaitingTime>Ready
+16000 [-] parent Ready>Running
+16000 [parent] parent Running>Done
+created 6 activations 22 deltas 15 advances 12 notified 1
+)";
+
+}  // namespace
+
+// A mixed scenario whose waitfor()s take the inline path and the scheduler
+// round trip in turn. Its full callback log and KernelStats were captured
+// before the inline path existed; both must stay byte-identical.
+TEST(Kernel, InlineAdvanceKeepsGoldenCallbackLog) {
+    Kernel k;
+    CallbackLog log{k};
+    k.add_observer(&log);
+    Event e{k, "e"};
+    k.cancel_timer(k.post_at(4_us, [] {}));  // a dead timer must not stop time
+    k.post_at(7_us, [&] { k.notify(e); });
+    k.spawn("solo", [&] {
+        for (int i = 0; i < 3; ++i) {
+            k.waitfor(2_us);
+        }
+        k.wait(e);
+        k.waitfor(1_us);
+    });
+    k.spawn("pair", [&] {
+        k.waitfor(3_us);
+        (void)k.wait_timeout(e, 10_us);
+        k.waitfor(SimTime::zero());
+        k.yield();
+        k.waitfor(1_us);
+    });
+    Process* victim = k.spawn("victim", [&] { k.waitfor(9_us); });
+    k.post_at(9_us, [&] { k.kill(*victim); });
+    k.spawn("parent", [&] {
+        k.par({[&] { k.waitfor(1_us); }, [&] { k.waitfor(12_us); }});
+        k.waitfor(2_us);
+        k.waitfor(2_us);
+    });
+    EXPECT_TRUE(k.run_until(5_us));
+    k.run();
+    const KernelStats& s = k.stats();
+    const std::string stats = "created " + std::to_string(s.processes_created) +
+                              " activations " + std::to_string(s.process_activations) +
+                              " deltas " + std::to_string(s.delta_cycles) + " advances " +
+                              std::to_string(s.time_advances) + " notified " +
+                              std::to_string(s.events_notified) + "\n";
+    EXPECT_EQ(log.text + stats, kInlineAdvanceGolden);
+}
+
 // ---- Guard-page fallback (satellite: StackPool robustness) ----
 
 TEST(Kernel, GuardFailureFallsBackToUnguardedStacks) {
